@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import TruncationError
-from .hermite import hermite_batch, index_total, multi_indices
+from .hermite import _along_each_axis, hermite_batch, index_totals, multi_indices
 from .phase_space import (
     DEFAULT_BOX,
     GridFunction,
@@ -28,6 +28,8 @@ from .phase_space import (
 )
 
 TAIL_THRESHOLD = 1e-8
+# synthesize's default grid per d; a d = 2 grid holds n^4 samples
+DEFAULT_SYNTH_POINTS = {1: 129, 2: 33}
 
 
 @dataclass
@@ -49,6 +51,8 @@ class WongCoeffMatrix:
         side = (self.n_max + 1) ** self.d
         if self.entries.shape != (side, side):
             raise ValueError(f"entries shape {self.entries.shape} != {(side, side)}")
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("entries must be finite")
 
     @property
     def side(self) -> int:
@@ -86,14 +90,11 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
     """
     d = a.dims // 2
     K = kernel_map_A_grid(a, strict=strict)
-    axis = K.axis()
-    hs = hermite_batch(n_max, axis)
-    w = K.spacing
-    if d == 1:
-        C = (hs @ K.values @ hs.T) * w * w
-    else:
-        C = np.einsum("ijkl,ai,bj,ck,el->abce", K.values, hs, hs, hs, hs, optimize=True)
-        C = (w ** 4) * C.reshape((n_max + 1) ** 2, (n_max + 1) ** 2)
+    hs = hermite_batch(n_max, K.axis())
+    side = (n_max + 1) ** d
+    C = _along_each_axis(hs, K.values).reshape(side, side)
+    for _ in range(a.dims):             # one quadrature weight per contracted axis
+        C *= K.spacing
     out = WongCoeffMatrix(d, n_max, C)
     total = a.norm() ** 2
     if total > 0:
@@ -114,20 +115,14 @@ def synthesize(C: WongCoeffMatrix, box_half_width: float = DEFAULT_BOX,
     served without interpolation.
     """
     if points_per_axis is None:
-        points_per_axis = 129 if C.d == 1 else 33
+        points_per_axis = DEFAULT_SYNTH_POINTS[C.d]
     n = points_per_axis
     work_n = n if n % 2 == 1 else 2 * n - 1
     axis = np.linspace(-box_half_width, box_half_width, work_n)
     hs = hermite_batch(C.n_max, axis)
-    if C.d == 1:
-        K = hs.T @ C.entries @ hs
-        kern = GridFunction(2, box_half_width, work_n, K)
-    else:
-        m = C.n_max + 1
-        C4 = C.entries.reshape(m, m, m, m)     # (a1, b1?) rows are alpha1=(a,b)
-        K = np.einsum("abce,ai,bj,ck,el->ijkl", C4, hs, hs, hs, hs, optimize=True)
-        kern = GridFunction(4, box_half_width, work_n, K)
-    out = inverse_kernel_map_grid(kern)
+    C_axes = C.entries.reshape((C.n_max + 1,) * (2 * C.d))   # (alpha1, alpha2) axes
+    K = _along_each_axis(hs.T, C_axes)
+    out = inverse_kernel_map_grid(GridFunction(2 * C.d, box_half_width, work_n, K))
     if work_n != n:
         sl = (slice(None, None, 2),) * out.dims
         out = GridFunction(out.dims, box_half_width, n, out.values[sl])
@@ -212,7 +207,7 @@ def fsigma_coeff(C: WongCoeffMatrix) -> WongCoeffMatrix:
     rho_{a1,a2} is an eigenfunction with eigenvalue (-1)^{|a1|}, so rows
     flip sign by parity of alpha1; exact, never the FFT.
     """
-    signs = np.array([(-1.0) ** index_total(a) for a in C.indices()])
+    signs = (-1.0) ** index_totals(C.d, C.n_max)
     return WongCoeffMatrix(C.d, C.n_max, signs[:, None] * C.entries)
 
 
@@ -253,13 +248,24 @@ def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
 
 
 def wong_from_json(text: str) -> WongCoeffMatrix:
+    """Parse the wong_to_json form; malformed input raises ValueError."""
     obj = json.loads(text)
-    d, n_max = int(obj["d"]), int(obj["n_max"])
+    try:
+        d, n_max, rows = int(obj["d"]), int(obj["n_max"]), list(obj["entries"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coefficient JSON needs numbers d, n_max and a list entries: {exc!r}") from None
+    if d not in (1, 2) or n_max < 0:
+        raise ValueError(f"coefficient JSON has d={d}, n_max={n_max}; need d in {{1, 2}}, n_max >= 0")
     idx = multi_indices(d, n_max)
     lookup = {a: i for i, a in enumerate(idx)}
     entries = np.zeros((len(idx), len(idx)), dtype=complex)
-    for row in obj["entries"]:
-        a1 = tuple(int(v) for v in row[:d])
-        a2 = tuple(int(v) for v in row[d:2 * d])
-        entries[lookup[a1], lookup[a2]] = row[2 * d] + 1j * row[2 * d + 1]
+    for row in rows:
+        try:
+            if len(row) != 2 * d + 2:
+                raise ValueError
+            a1 = tuple(int(v) for v in row[:d])
+            a2 = tuple(int(v) for v in row[d:2 * d])
+            entries[lookup[a1], lookup[a2]] = row[2 * d] + 1j * row[2 * d + 1]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"entry {row!r} is not {2 * d + 2} numbers with indices in 0..{n_max}") from None
     return WongCoeffMatrix(d, n_max, entries)

@@ -40,23 +40,6 @@ from .regularity import (
 FLOAT_FMT = "%.17g"
 
 
-def _limit_threads():
-    n = os.environ.get("TWC_THREADS")
-    if not n:
-        return
-    try:
-        limit = max(1, int(n))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
-
-
 def _config_dict(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -119,13 +102,14 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "seed", "tol", "mode"])
     if args.input:
         with open(args.input) as fh:
             C = wong_from_json(fh.read())
+        config = {"d": C.d, "n_max": C.n_max, **_config_dict(args, ["N_max", "seed", "tol", "mode"])}
         report = verify_matrix_report(C, args.N_max, planted_s=None, seed=args.seed,
                                       s_tol=args.tol, mode=args.mode)
     else:
+        config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "seed", "tol", "mode"])
         report = verify_regularity_theorem(
             args.planted_s, args.rank, args.seed, args.N_max,
             d=args.d, n_max=args.n_max, s_tol=args.tol, mode=args.mode)
@@ -240,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

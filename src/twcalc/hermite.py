@@ -36,6 +36,23 @@ def index_total(alpha) -> int:
     return int(sum(alpha))
 
 
+def index_totals(d: int, n_max: int) -> np.ndarray:
+    """Array of |alpha| over multi_indices(d, n_max), C order."""
+    return np.indices((n_max + 1,) * d).sum(axis=0).reshape(-1)
+
+
+def _along_each_axis(M: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Apply the matrix M along every axis of vals.
+
+    out[a_1, .., a_k] = sum_i M[a_1, i_1] .. M[a_k, i_k] vals[i_1, .., i_k].
+    Each step contracts the leading axis and appends the new one, so after
+    vals.ndim steps the axes are back in their original order.
+    """
+    for _ in range(vals.ndim):
+        vals = np.tensordot(vals, M, axes=(0, 1))
+    return vals
+
+
 def log_factorial(n) -> np.ndarray:
     """log(n!) in the log domain; works elementwise on arrays."""
     return gammaln(np.asarray(n, dtype=float) + 1.0)
@@ -152,11 +169,7 @@ def apply_H_coeff(f: HermiteCoeffVector) -> HermiteCoeffVector:
 
 def oscillator_eigenvalues(d: int, n_max: int) -> np.ndarray:
     """Vector of 2|alpha| + d over multi_indices(d, n_max), C order."""
-    k = np.arange(n_max + 1)
-    total = k
-    for _ in range(d - 1):
-        total = total[..., None] + k
-    return (2 * total + d).reshape(-1).astype(float)
+    return (2 * index_totals(d, n_max) + d).astype(float)
 
 
 def default_node_count(n_max: int) -> int:
@@ -198,12 +211,7 @@ def project_to_hermite(f, n_max: int, d: int | None = None) -> HermiteCoeffVecto
     S[np.abs(rule.nodes) > f.box_half_width] = 0.0
     hs = hermite_batch(n_max, rule.nodes)
     proj = hs * rule.weights_compensated  # rows integrate against h_k
-    if d == 1:
-        fq = S @ f.values
-        coeffs = proj @ fq
-    else:
-        fq = S @ f.values @ S.T
-        coeffs = proj @ fq @ proj.T
+    coeffs = _along_each_axis(proj, _along_each_axis(S, f.values))
     return HermiteCoeffVector(d, n_max, coeffs)
 
 
@@ -217,11 +225,7 @@ def synthesize_hermite(f: HermiteCoeffVector, box_half_width: float, points_per_
     from .phase_space import GridFunction
 
     axis = np.linspace(-box_half_width, box_half_width, points_per_axis)
-    hs = hermite_batch(f.n_max, axis)
-    if f.d == 1:
-        values = f.coeffs @ hs
-    else:
-        values = np.einsum("ab,ai,bj->ij", f.coeffs, hs, hs)
+    values = _along_each_axis(hermite_batch(f.n_max, axis).T, f.coeffs)
     return GridFunction(f.d, box_half_width, points_per_axis, values)
 
 

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatchError, TruncationError
-from .hermite import hermite_batch, index_total
+from .hermite import hermite_batch
 
 DEFAULT_BOX = 8.0
 DEFAULT_POINTS = 256
@@ -123,11 +123,32 @@ def _dft_kernel(L: float, n: int) -> np.ndarray:
     return np.exp(-2j * np.outer(x, x))
 
 
+def _each_pair(vals: np.ndarray, pair_map) -> np.ndarray:
+    """Apply a one-pair map along every axis pair (j, d + j) of a 2d-axis array.
+
+    ``pair_map`` takes a stack (..., n, n) whose last two axes are the pair
+    and returns the mapped stack; the remaining axes are batch axes.  All
+    four grid transforms factor this way because the symplectic form is a
+    sum over the pairs (x_j, xi_j).  Each pair's intermediates are released
+    before the next pair runs.  Pair maps contract the last axis with
+    ``np.tensordot`` (one GEMM over the whole stack, where ``@`` would run
+    one per batch entry) and scale in place: at d = 2 a fresh n^4 buffer
+    costs about as much as the scaling itself.  The result comes back in
+    the input's axis order as a view, not necessarily C-contiguous.
+    """
+    d = vals.ndim // 2
+    for j in range(d):
+        vals = pair_map(np.moveaxis(vals, (j, d + j), (-2, -1)))
+        vals = np.moveaxis(vals, (-2, -1), (j, d + j))
+    return vals
+
+
 def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunction:
     """Cross-Wigner distribution of f and g, on the tensor-squared grid.
 
-    Per x-slice the y-integral is taken over the lattice y = 2(x_m - x_i),
-    where both f(x - y/2) and g(x + y/2) land exactly on sample points, and
+    The pair map acts on F(u, v) = f(u) conj(g(v)).  Per x-slice the
+    y-integral is taken over the lattice y = 2(x_m - x_i), where both
+    arguments x - y/2 and x + y/2 of F land exactly on sample points, and
     the oscillatory sum is one dense DFT-style matrix product.
     """
     require_same_grid(f, g)
@@ -135,62 +156,50 @@ def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunctio
         raise ValueError("wigner supports d in {1, 2}")
     check_boundary(f, strict, what="wigner input f")
     check_boundary(g, strict, what="wigner input g")
-    d, n = f.dims, f.points_per_axis
-    dx = f.spacing
+    n = f.points_per_axis
     E = _dft_kernel(f.box_half_width, n)
-    const = (2.0 * np.pi) ** (-d / 2.0) * (2.0 * dx) ** d
+    const = (2.0 * np.pi) ** -0.5 * (2.0 * f.spacing)
     idx = np.arange(n)
-    if d == 1:
-        pos = 2 * idx[:, None] - idx[None, :]
-        ok = (pos >= 0) & (pos < n)
-        gs = np.where(ok, np.conj(g.values)[np.clip(pos, 0, n - 1)], 0.0)
-        corr = f.values[None, :] * gs                       # [i, m]
-        W = const * (corr @ E) * np.conj(E)                 # [i, k]
-        return GridFunction(2, f.box_half_width, n, W)
-    if n > 81:
-        raise ValueError("d = 2 grids above 81 points per axis are not supported")
     pos = 2 * idx[:, None] - idx[None, :]
     ok = (pos >= 0) & (pos < n)
     pc = np.clip(pos, 0, n - 1)
-    gv = np.conj(g.values)
-    Ec = np.conj(E)
-    W = np.empty((n, n, n, n), dtype=complex)
-    for i1 in range(n):                                     # slice to bound memory
-        rows = np.where(ok[i1][:, None], gv[pc[i1]], 0.0)   # [m1, y2-axis]
-        gs = np.where(ok[:, None, :], rows[:, pc].transpose(1, 0, 2), 0.0)  # [i2, m1, m2]
-        corr = f.values[None, :, :] * gs
-        T = np.einsum("bmn,mk,nl->bkl", corr, E, E, optimize=True)
-        W[i1] = T * (Ec[i1][None, :, None] * Ec[:, None, :])
-    return GridFunction(4, f.box_half_width, n, const * W)
+
+    def pair_map(F):                                         # [u, v] -> [x, xi]
+        corr = F[..., idx, pc]                               # F(x_m, x_{2i-m}) at [i, m]
+        corr[..., ~ok] = 0.0
+        W = np.tensordot(corr, E, axes=1)
+        W *= const
+        W *= np.conj(E)
+        return W
+
+    F = np.multiply.outer(f.values, np.conj(g.values))
+    return GridFunction(2 * f.dims, f.box_half_width, n, _each_pair(F, pair_map))
 
 
 def hermite_wong_eval(pair, box_half_width: float = DEFAULT_BOX,
                       points_per_axis: int = DEFAULT_POINTS) -> GridFunction:
     """The Hermite-Wong basis function (-1)^{|a1|} W_{h_a1, h_a2} on the grid.
 
-    ``pair`` is ((a1...), (a2...)) of equal dimension d in {1, 2}.
+    ``pair`` is ((a1...), (a2...)) of equal dimension d in {1, 2}.  The
+    value is the outer product over the axis pairs (x_j, xi_j) of the 1-D
+    functions (-1)^{a1_j} W_{h_a1_j, h_a2_j}, a route independent of the
+    d-dimensional ``wigner``.
     """
     a1, a2 = normalize_pair(pair)
-    d = len(a1)
     if max(max(a1), max(a2)) > MAX_WONG_INDEX:
         raise ValueError(f"indices above {MAX_WONG_INDEX} are not supported")
     axis = np.linspace(-box_half_width, box_half_width, points_per_axis)
     hs = hermite_batch(max(max(a1), max(a2)), axis)
-    if d == 1:
-        f = GridFunction(1, box_half_width, points_per_axis, hs[a1[0]] + 0j)
-        g = GridFunction(1, box_half_width, points_per_axis, hs[a2[0]] + 0j)
-        W = wigner(f, g, strict=False)
-        W.values *= (-1) ** index_total(a1)
-        return W
-    # d = 2 factorizes across the (x_j, xi_j) axis pairs
     parts = []
-    for j in range(2):
-        f = GridFunction(1, box_half_width, points_per_axis, hs[a1[j]] + 0j)
-        g = GridFunction(1, box_half_width, points_per_axis, hs[a2[j]] + 0j)
-        w = wigner(f, g, strict=False).values * (-1) ** a1[j]
-        parts.append(w)
-    vals = np.einsum("ik,jl->ijkl", parts[0], parts[1])
-    return GridFunction(4, box_half_width, points_per_axis, vals)
+    for k1, k2 in zip(a1, a2):
+        f = GridFunction(1, box_half_width, points_per_axis, hs[k1] + 0j)
+        g = GridFunction(1, box_half_width, points_per_axis, hs[k2] + 0j)
+        parts.append(wigner(f, g, strict=False).values * (-1) ** k1)
+    vals = parts[0]
+    for j, w in enumerate(parts[1:], 1):
+        # axes (x_1..x_j, xi_1..xi_j, x_{j+1}, xi_{j+1}): move x_{j+1} after x_j
+        vals = np.moveaxis(np.multiply.outer(vals, w), -2, j)
+    return GridFunction(2 * len(a1), box_half_width, points_per_axis, np.ascontiguousarray(vals))
 
 
 def normalize_pair(pair):
@@ -215,44 +224,30 @@ def symplectic_fourier(a: GridFunction, strict: bool = True) -> GridFunction:
     if a.dims not in (2, 4):
         raise ValueError("symplectic_fourier expects a phase-space function (dims 2 or 4)")
     check_boundary(a, strict, what="symplectic_fourier input")
-    n = a.points_per_axis
     dx = a.spacing
-    E = _dft_kernel(a.box_half_width, n)
-    if a.dims == 2:
-        out = (dx * dx / np.pi) * (E @ a.values.T @ np.conj(E))
-        return GridFunction(2, a.box_half_width, n, out)
-    if n > 81:
-        raise ValueError("d = 2 grids above 81 points per axis are not supported")
-    # separable kernel: apply the one-pair map on (y_j, eta_j) for j = 1, 2,
-    # folding the spectator axes into one large GEMM per contraction
-    const = dx ** 4 / np.pi ** 2
-    vals = a.values
+    E = _dft_kernel(a.box_half_width, a.points_per_axis)
     Ec = np.conj(E)
-    for pair in (0, 1):
-        # pair 0 input axes (y1,y2,e1,e2); after it, (x1,y2,xi1,e2)
-        work = vals.transpose(1, 3, 0, 2) if pair == 0 else vals.transpose(0, 2, 1, 3)
-        X = np.ascontiguousarray(work.transpose(2, 0, 1, 3)).reshape(n, -1)  # (y_j, rest*eta)
-        G = (Ec.T @ X).reshape(n, n, n, n)                                   # (k, rest, eta)
-        Y = np.ascontiguousarray(G.transpose(3, 1, 2, 0)).reshape(n, -1)     # (eta, rest*k)
-        T = (E @ Y).reshape(n, n, n, n)                                      # (i, rest, k)
-        vals = T.transpose(1, 2, 0, 3)                                       # (rest, x_j, xi_j)
-        vals = vals.transpose(2, 0, 3, 1) if pair == 0 else vals.transpose(0, 2, 1, 3)
-    return GridFunction(4, a.box_half_width, n, const * np.ascontiguousarray(vals))
+
+    def pair_map(b):                                         # [y, eta] -> [x, xi]
+        out = np.tensordot(E @ np.swapaxes(b, -1, -2), Ec, axes=1)
+        out *= dx * dx / np.pi
+        return out
+
+    return GridFunction(a.dims, a.box_half_width, a.points_per_axis, _each_pair(a.values, pair_map))
 
 
 def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:
     """Kernel K(x,y) of the operator attached to the phase-space function a.
 
-    Computed as the partial inverse Fourier transform in the frequency
+    Per axis pair: the partial inverse Fourier transform in the frequency
     variable followed by the affine pullback (x,y) -> ((y-x)/2, -(x+y)).
     The intermediate is tabulated on the half-step first axis and on the
-    doubled box in the second, so the pullback's bilinear interpolation
-    degenerates to exact node lookup on the output grid.
+    doubled box in the second, so the pullback is an exact node lookup on
+    the output grid.
     """
     if a.dims not in (2, 4):
         raise ValueError("kernel_map_A_grid expects a phase-space function (dims 2 or 4)")
     check_boundary(a, strict, what="kernel map input")
-    d = a.dims // 2
     n = a.points_per_axis
     L = a.box_half_width
     dx = a.spacing
@@ -261,46 +256,17 @@ def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:
     v = np.linspace(-2 * L, 2 * L, 2 * n - 1)
     S = np.sinc((u[:, None] - axis[None, :]) / dx)
     P = np.exp(1j * np.outer(axis, v))
-    const = (2.0 * np.pi) ** (-d / 2.0) * dx ** d
-    if d == 1:
-        b = const * (S @ a.values @ P)      # [u*, v]
-        i = np.arange(n)
-        ui = (i[None, :] - i[:, None]) + (n - 1)
-        vi = 2 * (n - 1) - (i[:, None] + i[None, :])
-        K = _bilinear_lookup(b, ui.astype(float), vi.astype(float))
-        return GridFunction(2, L, n, K)
-    if n > 81:
-        raise ValueError("d = 2 grids above 81 points per axis are not supported")
-    # apply the one-pair map (resample, partial FT, pullback) per axis pair,
-    # folding the spectator axes into one large GEMM per contraction
+    const = (2.0 * np.pi) ** -0.5 * dx
     i = np.arange(n)
     ui = (i[None, :] - i[:, None]) + (n - 1)
     vi = 2 * (n - 1) - (i[:, None] + i[None, :])
-    c1 = (2.0 * np.pi) ** -0.5 * dx
-    vals = a.values
-    for pair in (0, 1):
-        # pair 0 maps axes (x1,x2,e1,e2) to (x1,x2,y1,e2); pair 1 finishes
-        work = vals.transpose(1, 3, 0, 2) if pair == 0 else vals.transpose(0, 2, 1, 3)
-        X = np.ascontiguousarray(work.transpose(2, 0, 1, 3)).reshape(n, -1)  # (x_j, rest*xi)
-        T = (S @ X).reshape(2 * n - 1, n, n, n)                              # (u, rest, xi)
-        Y = np.ascontiguousarray(T.transpose(3, 1, 2, 0)).reshape(n, -1)     # (xi, rest*u)
-        B = (P.T @ Y).reshape(2 * n - 1, n, n, 2 * n - 1)                    # (v, rest, u)
-        out = c1 * B[vi, :, :, ui]                                           # (x_j, y_j, rest)
-        vals = out.transpose(2, 3, 0, 1).reshape(n, n, n, n)
-        vals = vals.transpose(2, 0, 3, 1) if pair == 0 else vals.transpose(0, 2, 1, 3)
-    return GridFunction(4, L, n, np.ascontiguousarray(vals))
 
+    def pair_map(b):                                         # [x, xi] -> [x, y]
+        K = np.tensordot(S @ b, P, axes=1)[..., ui, vi]
+        K *= const
+        return K
 
-def _bilinear_lookup(b: np.ndarray, fi: np.ndarray, fj: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of b at fractional indices (fi, fj)."""
-    if np.any(fi < 0) or np.any(fi > b.shape[0] - 1) or np.any(fj < 0) or np.any(fj > b.shape[1] - 1):
-        raise TruncationError("pullback point outside the sampled box")
-    i0 = np.minimum(np.floor(fi).astype(int), b.shape[0] - 2)
-    j0 = np.minimum(np.floor(fj).astype(int), b.shape[1] - 2)
-    ti = fi - i0
-    tj = fj - j0
-    return ((1 - ti) * (1 - tj) * b[i0, j0] + ti * (1 - tj) * b[i0 + 1, j0]
-            + (1 - ti) * tj * b[i0, j0 + 1] + ti * tj * b[i0 + 1, j0 + 1])
+    return GridFunction(a.dims, L, n, _each_pair(a.values, pair_map))
 
 
 def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
@@ -315,25 +281,23 @@ def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
     n = K.points_per_axis
     if n % 2 == 0:
         raise ValueError("inverse kernel map needs an odd points_per_axis")
-    d = K.dims // 2
-    dx = K.spacing
-    E = _dft_kernel(K.box_half_width, n)
-    const = (2.0 * np.pi) ** (-d / 2.0) * (2.0 * dx) ** d
+    Ec = np.conj(_dft_kernel(K.box_half_width, n))
+    const = (2.0 * np.pi) ** -0.5 * (2.0 * K.spacing)
     h = (n - 1) // 2
     i = np.arange(n)
     lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
     hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
     ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
-    if d == 1:
-        k = np.where(ok, K.values[np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)], 0.0)
-        out = const * (k @ np.conj(E))
-        return GridFunction(2, K.box_half_width, n, out)
-    loc = np.clip(lo, 0, n - 1)
-    hic = np.clip(hi, 0, n - 1)
-    k = K.values[loc[:, None, :, None], loc[None, :, None, :], hic[:, None, :, None], hic[None, :, None, :]]
-    k = np.where(ok[:, None, :, None] & ok[None, :, None, :], k, 0.0)
-    out = const * np.einsum("abmn,mk,nl->abkl", k, np.conj(E), np.conj(E), optimize=True)
-    return GridFunction(4, K.box_half_width, n, out)
+    lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
+
+    def pair_map(k):                                         # [x, y] -> [x, xi]
+        k = k[..., lo, hi]                                   # K(w - x, w + x) at [i, m]
+        k[..., ~ok] = 0.0
+        out = np.tensordot(k, Ec, axes=1)
+        out *= const
+        return out
+
+    return GridFunction(K.dims, K.box_half_width, n, _each_pair(K.values, pair_map))
 
 
 def write_grid(path, f: GridFunction):

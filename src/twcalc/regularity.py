@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .algebra import WongCoeffMatrix, twisted_left_matrix
-from .hermite import index_total, multi_indices, oscillator_eigenvalues
+from .hermite import index_totals, oscillator_eigenvalues
 from .phase_space import GridFunction
 
 PSD_TOL = 1e-10
@@ -134,15 +134,14 @@ def random_positive_element(rank: int, planted_s: float, planted_r: float,
     if planted_s <= 0:
         raise ValueError("planted_s must be > 0")
     rng = np.random.default_rng(seed)
-    idx = multi_indices(d, n_max)
-    totals = np.array([index_total(a) for a in idx], dtype=float)
+    totals = index_totals(d, n_max).astype(float)
     rate = np.full_like(totals, planted_r)
     if flavor == "beurling":
         rate = planted_r * np.log(np.e + totals)
     elif flavor != "roumieu":
         raise ValueError("flavor must be 'roumieu' or 'beurling'")
     mags = np.exp(-rate * totals ** (1.0 / (2 * planted_s)))
-    phases = np.exp(2j * np.pi * rng.random((rank, len(idx))))
+    phases = np.exp(2j * np.pi * rng.random((rank, totals.size)))
     vectors = mags[None, :] * phases
     C = np.einsum("ka,kb->ab", vectors, vectors.conj())
     return WongCoeffMatrix(d, n_max, C), vectors
@@ -232,8 +231,7 @@ def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
     distinguish Beurling from Roumieu decay, so a clean fit is reported as
     the Roumieu-type rate that realizes it.
     """
-    idx = C.indices()
-    totals = np.array([index_total(a) for a in idx], dtype=float)
+    totals = index_totals(C.d, C.n_max).astype(float)
     japp = np.sqrt(1.0 + totals ** 2)
     mags = np.abs(C.entries)
     usable = (mags > 1e-300) & ((totals[:, None] + totals[None, :]) >= 1)

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, desk scale (d = 1).
 
 Each test prints a single PASS line with its runtime (visible with -s) and
-appends it to acceptance_report.txt next to this file.  Tolerances and
-time budgets are asserted, not just reported.
+appends it to acceptance_report.txt next to this file, which each run
+starts afresh.  Tolerances and time budgets are asserted, not just reported.
 """
 
 import time
@@ -17,6 +17,12 @@ from twcalc.regularity import default_planted_rate
 
 REPORT = Path(__file__).with_name("acceptance_report.txt")
 _t0 = None
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fresh_report():
+    """Start the report afresh on each run rather than appending to old lines."""
+    REPORT.write_text("")
 
 
 @pytest.fixture(autouse=True)

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import twcalc as tw
 from twcalc.cli import main
@@ -99,6 +100,27 @@ def test_verify_tampered_matrix_exits_1(tmp_path):
 
 def test_verify_missing_file_exits_2(tmp_path):
     assert run(["verify", "--in", tmp_path / "nope.json", "--out", tmp_path / "r.json"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"d": 1, "n_max": 4, "entries": [[5, 0, 1.0, 0.0]]}',     # index above n_max
+    '{"n_max": 4, "entries": []}',                              # no "d"
+    '{"d": 1, "n_max": 4, "entries": [[0, 0, 1.0]]}',           # row too short
+    '{"d": 1, "n_max": 4, "entries": [[0, 0, "x", 0.0]]}',      # value not a number
+    '[1, 2]',                                                   # not an object
+], ids=["index-above-n-max", "missing-d", "short-row", "non-number", "not-an-object"])
+def test_verify_malformed_input_exits_2(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run(["verify", "--in", bad, "--out", tmp_path / "r.json"]) == 2
+
+
+def test_verify_input_records_the_matrix_config(tmp_path):
+    src, out = tmp_path / "C.json", tmp_path / "report.json"
+    assert run(["gen", "--d", 2, "--n-max", 4, "--out", src]) == 0
+    assert run(["verify", "--in", src, "--N-max", 12, "--out", out]) in (0, 1)
+    config = json.loads(out.read_text())["config"]
+    assert config == {"d": 2, "n_max": 4, "N_max": 12, "seed": 0, "tol": 0.15, "mode": "origin"}
 
 
 def test_tables_emit_documented_columns(tmp_path):

@@ -181,13 +181,15 @@ def test_second_difference_eigenrelation_on_grid():
         assert err < 1e-3
 
 
-def test_projection_synthesis_round_trip():
-    # h_24 turns at |x| = 7 and only reaches 1e-14 around |x| = 12
+# d1: h_24 turns at |x| = 7 and only reaches 1e-14 around |x| = 12
+@pytest.mark.parametrize("d,n_max,box,points", [(1, 24, 12.0, 512), (2, 6, 8.0, 128)],
+                         ids=["d1", "d2"])
+def test_projection_synthesis_round_trip(d, n_max, box, points):
     rng = np.random.default_rng(5)
-    n_max = 24
-    v = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
-    f = tw.HermiteCoeffVector(1, n_max, v)
-    back = tw.project_to_hermite(tw.synthesize_hermite(f, 12.0, 512), n_max)
+    shape = (n_max + 1,) * d
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    f = tw.HermiteCoeffVector(d, n_max, v)
+    back = tw.project_to_hermite(tw.synthesize_hermite(f, box, points), n_max)
     assert np.max(np.abs(back.coeffs - v)) < 1e-9
 
 

@@ -35,6 +35,13 @@ def test_non_hermitian_rejected():
     assert not res.is_positive and res.hermitian_defect > 0.1
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_coefficients_rejected(bad):
+    # a non-finite entry used to pass positivity (inf) or crash eigh (nan)
+    with pytest.raises(ValueError, match="finite"):
+        tw.WongCoeffMatrix(1, 2, np.diag([1.0, bad, 1.0]))
+
+
 def test_witness_pairing_is_negative_on_grid():
     C = tw.WongCoeffMatrix(1, 1, np.diag([1.0, -1.0]).astype(complex))
     res = tw.is_positive_twisted(C)
