@@ -45,6 +45,7 @@ from .algebra import (
     fsigma_coeff,
     kernel_map_A_coeff,
     synthesize,
+    twisted_apply,
     twisted_convolution_coeff,
     twisted_convolution_grid,
     twisted_left_matrix,

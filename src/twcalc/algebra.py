@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import TruncationError
 from .hermite import _along_each_axis, hermite_batch, index_totals, multi_indices
@@ -28,6 +27,8 @@ from .phase_space import (
 )
 
 TAIL_THRESHOLD = 1e-8
+# complex elements per FFT block of twisted_apply (16 MB)
+_FFT_BLOCK = 1 << 20
 # synthesize's default grid per d; a d = 2 grid holds n^4 samples
 DEFAULT_SYNTH_POINTS = {1: 129, 2: 33}
 
@@ -149,55 +150,79 @@ def twisted_convolution_coeff(Ca: WongCoeffMatrix, Cb: WongCoeffMatrix) -> WongC
     return WongCoeffMatrix(Ca.d, Ca.n_max, Ca.entries @ Cb.entries)
 
 
-def twisted_left_matrix(a: GridFunction, strict: bool = True) -> np.ndarray:
-    """Dense quadrature operator psi -> a *s psi on the grid, shape (n^2, n^2).
+def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.ndarray:
+    """psi -> a *s psi on every (n, n) slice of B, by quadrature of the integral.
 
-    Oracle-only: O(n^4) storage.  Requires an odd point count so that the
-    shifted samples a(X - Y) fall on grid nodes.
+    out[i,k] = c sum_{m,n} a[i-m+h, k-n+h] e^{2i x_m x_k} e^{-2i x_i x_n} B[m,n]
+    with h = (n-1)/2 and c = (2/pi)^{1/2} dx^2; d = 1 and odd n only, so that
+    the shifted samples a(X - Y) fall on grid nodes.  Matrix-free: with
+    p = i-m+h and q = k-n+h (so x_p = x_i - x_m, x_q = x_k - x_n) the phase
+    splits as e^{-2i x_i x_k} e^{-2i x_p x_q + 4i x_i x_q} e^{2i x_m x_n}, an
+    output factor, a factor on a's samples that depends on the output row i,
+    and a factor on B's samples.  Each output row is then a sum over p of
+    linear convolutions along the second axis, done as one contraction over
+    p per frequency: O(n^3 log n) time for the factor, O(n^3) per slice.
+    Memory stays at O(n^2 nfft) per block of output rows, plus O(n nfft)
+    per slice.
     """
     if a.dims != 2:
         raise ValueError("grid twisted convolution is implemented for d = 1 only")
     n = a.points_per_axis
     if n % 2 == 0:
         raise ValueError("grid twisted convolution needs an odd points_per_axis")
-    if n > 85:
-        raise ValueError("grid too large for the dense oracle; use n <= 85")
+    B = np.asarray(B)
+    if B.shape[-2:] != (n, n):
+        raise ValueError(f"slices of shape {B.shape[-2:]} do not match the ({n}, {n}) grid")
     check_boundary(a, strict, what="twisted convolution factor")
-    dx = a.spacing
-    E = _dft_kernel(a.box_half_width, n)
-    o = n - 1
+    from scipy.fft import fft, ifft, next_fast_len   # ~40 ms to import; grid oracles only
+
     h = (n - 1) // 2
-    pad = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
-    pad[o - h: o - h + n, o - h: o - h + n] = a.values
-    s0, s1 = pad.strides
-    shift = as_strided(pad[o:, o:], shape=(n, n, n, n), strides=(s0, s1, -s0, -s1))
-    # phase e^{2i sigma(X, Y)} = e^{2i y_m xi_k} e^{-2i x_i eta_n}, blocked over i
-    const = (2.0 / np.pi) ** 0.5 * dx * dx
-    EcT = np.ascontiguousarray(np.conj(E).T)[None, :, :, None]
-    out = np.empty((n * n, n * n), dtype=complex)
-    blk = max(1, (1 << 24) // (n * n * n))
-    buf = np.empty((blk, n, n, n), dtype=complex)
+    # only outputs h..3h of each length-(2n-1) linear convolution are kept, so
+    # circular wrap-around is harmless from nfft > 3h on
+    nfft = next_fast_len(3 * h + 1)
+    E = _dft_kernel(a.box_half_width, n)
+    Bs = B.reshape(-1, n, n)
+    Bh = fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)        # [f, m, s]
+    # a[p, q] e^{-2i x_p x_q} at row p + h between h zero rows on each side,
+    # so row i + 2h - m holds p = i + h - m, or zeros where p is off the grid
+    ap = np.zeros((2 * n - 1, n), dtype=complex)
+    ap[h:h + n] = a.values * E
+    rows = np.arange(n)
+    out = np.empty(Bs.shape, dtype=complex)
+    blk = max(1, _FFT_BLOCK // (n * nfft))
     for i0 in range(0, n, blk):
-        i1 = min(n, i0 + blk)
-        M = buf[: i1 - i0]
-        np.multiply(shift[i0:i1], EcT, out=M)
-        M *= E[i0:i1, None, None, :]
-        out[i0 * n: i1 * n] = M.reshape((i1 - i0) * n, n * n)
-    out *= const
-    return out
+        i = slice(i0, i0 + blk)
+        T = ap[rows[i, None] + 2 * h - rows]                                # [i, m, q]
+        T *= np.conj(E[i, None]) ** 2
+        Th = fft(T, nfft, axis=-1).transpose(2, 0, 1)                       # [f, i, m]
+        conv = ifft(Th @ Bh, axis=0, overwrite_x=True)[h:h + n]            # [k, i, s]
+        out[:, i] = conv.transpose(2, 1, 0) * E[i]
+    out *= (2.0 / np.pi) ** 0.5 * a.spacing ** 2
+    return out.reshape(B.shape)
+
+
+def twisted_left_matrix(a: GridFunction, strict: bool = True) -> np.ndarray:
+    """Dense operator psi -> a *s psi on the grid, shape (n^2, n^2).
+
+    Small-n cross-check only: O(n^4) time and storage, with a few n^4
+    buffers alive while the n^2 columns are computed.  Column j is
+    ``twisted_apply`` of the j-th unit grid function.
+    """
+    n = a.points_per_axis
+    cols = twisted_apply(a, np.eye(n * n).reshape(n * n, n, n), strict=strict)
+    return cols.reshape(n * n, n * n).T
 
 
 def twisted_convolution_grid(a: GridFunction, b: GridFunction, strict: bool = True) -> GridFunction:
     """Direct quadrature of the defining twisted-convolution integral.
 
     (a *s b)(X) = (2/pi)^{d/2} Int a(X - Y) b(Y) e^{2i sigma(X,Y)} dY,
-    evaluated at every output node.  Small odd grids only; this is the
-    independent oracle for the coefficient product.
+    evaluated at every output node by ``twisted_apply``: odd grids, d = 1,
+    any size.  This is the independent oracle for the coefficient product.
     """
     require_same_grid(a, b)
     check_boundary(b, strict, what="twisted convolution factor")
-    K = twisted_left_matrix(a, strict=strict)
-    out = (K @ b.values.reshape(-1)).reshape(b.values.shape)
+    out = twisted_apply(a, b.values, strict=strict)
     return GridFunction(a.dims, a.box_half_width, a.points_per_axis, out)
 
 

@@ -150,6 +150,8 @@ class HermiteCoeffVector:
         expected = (self.n_max + 1,) * self.d
         if self.coeffs.shape != expected:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("coeffs must be finite")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -240,10 +242,23 @@ def coeff_vector_to_json(f: HermiteCoeffVector) -> str:
 
 
 def coeff_vector_from_json(text: str) -> HermiteCoeffVector:
+    """Parse the coeff_vector_to_json form; malformed input raises ValueError."""
     obj = json.loads(text)
-    d, n_max = int(obj["d"]), int(obj["n_max"])
+    try:
+        d, n_max, rows = int(obj["d"]), int(obj["n_max"]), list(obj["coeffs"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coefficient vector JSON needs numbers d, n_max and a list coeffs: {exc!r}") from None
+    if d not in (1, 2) or n_max < 0:
+        raise ValueError(f"coefficient vector JSON has d={d}, n_max={n_max}; need d in {{1, 2}}, n_max >= 0")
     coeffs = np.zeros((n_max + 1,) * d, dtype=complex)
-    for row in obj["coeffs"]:
-        *alpha, re, im = row
-        coeffs[tuple(int(a) for a in alpha)] = re + 1j * im
+    for row in rows:
+        try:
+            if len(row) != d + 2:
+                raise ValueError
+            alpha = tuple(int(v) for v in row[:d])
+            if not all(0 <= v <= n_max for v in alpha):
+                raise ValueError
+            coeffs[alpha] = row[d] + 1j * row[d + 1]
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"coefficient {row!r} is not {d + 2} numbers with indices in 0..{n_max}") from None
     return HermiteCoeffVector(d, n_max, coeffs)

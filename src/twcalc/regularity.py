@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .algebra import WongCoeffMatrix, twisted_left_matrix
+from .algebra import WongCoeffMatrix, twisted_apply
 from .hermite import index_totals, oscillator_eigenvalues
-from .phase_space import GridFunction
+from .phase_space import GridFunction, require_same_grid
 
 PSD_TOL = 1e-10
 SUP_MODE_MAX_POWER = 12
@@ -104,9 +104,9 @@ def witness_function(C: WongCoeffMatrix, witness: np.ndarray,
 
 def twisted_pairing(a: GridFunction, psi: GridFunction) -> complex:
     """(a *s psi, psi) by grid quadrature; the positivity functional."""
-    K = twisted_left_matrix(a, strict=False)
-    conv = K @ psi.values.reshape(-1)
-    return complex(np.vdot(psi.values.reshape(-1), conv) * psi.cell)
+    require_same_grid(a, psi)
+    conv = twisted_apply(a, psi.values, strict=False)
+    return complex(np.vdot(psi.values, conv) * psi.cell)
 
 
 def default_planted_rate(planted_s: float, n_max: int, n_powers: int) -> float:

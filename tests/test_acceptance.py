@@ -81,11 +81,10 @@ def test_criterion_04_composition_identity_all_pairs():
     idx = [(i, j) for i in range(5) for j in range(5)]
     rhos = {p: tw.hermite_wong_eval(((p[0],), (p[1],)), grid_L, grid_n) for p in idx}
     cell = rhos[(0, 0)].cell
-    bstack = np.stack([rhos[p].values.reshape(-1) for p in idx], axis=1)
+    bstack = np.stack([rhos[p].values for p in idx])
     worst = 0.0
     for (a1, a2) in idx:
-        K = tw.twisted_left_matrix(rhos[(a1, a2)])
-        outs = (K @ bstack).T.reshape(len(idx), grid_n, grid_n)
+        outs = tw.twisted_apply(rhos[(a1, a2)], bstack)
         for t, (b1, b2) in enumerate(idx):
             expect = rhos[(a1, b2)].values if a2 == b1 else 0.0
             gap = np.sqrt(np.sum(np.abs(outs[t] - expect) ** 2) * cell)
@@ -207,14 +206,13 @@ def test_criterion_10_positivity_equivalence():
         C = tw.WongCoeffMatrix(1, 6, np.einsum("ka,kb->ab", V, V.conj()))
         assert tw.is_positive_twisted(C).is_positive
         a = tw.synthesize(C, grid_L, grid_n)
-        K = tw.twisted_left_matrix(a, strict=False)
         psis = []
         for _ in range(20):
             W = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
             psi = tw.synthesize(tw.WongCoeffMatrix(1, 6, W / np.linalg.norm(W)), grid_L, grid_n)
-            psis.append(psi.values.reshape(-1))
-        P = np.stack(psis, axis=1)
-        pairings = np.einsum("xk,xk->k", np.conj(P), K @ P) * a.cell
+            psis.append(psi.values)
+        P = np.stack(psis)
+        pairings = np.einsum("kxy,kxy->k", np.conj(P), tw.twisted_apply(a, P, strict=False)) * a.cell
         worst_pairing = min(worst_pairing, float(np.min(pairings.real)))
         assert np.min(pairings.real) >= -1e-6
     rejected = 0

@@ -161,6 +161,64 @@ def test_grid_convolution_needs_odd_grid(wong_cache):
         tw.twisted_convolution_grid(a, a)
 
 
+def _decaying(rng, L, n):
+    # random complex samples under a Gaussian envelope, at most e^{-L^2/2} on the boundary
+    x = np.linspace(-L, L, n)
+    env = np.exp(-0.5 * (x[:, None] ** 2 + x[None, :] ** 2))
+    return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * env
+
+
+@pytest.mark.parametrize("n", [17, 21])
+def test_twisted_apply_matches_brute_force_sum(rng, n):
+    # out[i,k] = c sum_{m,q} a[i-m+h, k-q+h] e^{2i (x_m x_k - x_i x_q)} b[m,q], term by term
+    a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
+    b = _decaying(rng, L, n)
+    x = np.linspace(-L, L, n)
+    h = (n - 1) // 2
+    r = np.arange(n)
+    D = r[:, None] - r[None, :] + 2 * h                 # [i, m] -> row of the zero-padded a
+    shifted = np.pad(a.values, h)[D[:, None, :, None], D[None, :, None, :]]   # [i, k, m, q]
+    phase = np.exp(2j * (x[None, :, None, None] * x[None, None, :, None]
+                         - x[:, None, None, None] * x[None, None, None, :]))
+    dx = x[1] - x[0]
+    want = (2 / np.pi) ** 0.5 * dx * dx * np.einsum("ikmq,ikmq,mq->ik", shifted, phase, b)
+    got = tw.twisted_apply(a, b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    dense = (tw.twisted_left_matrix(a) @ b.reshape(-1)).reshape(n, n)
+    assert np.linalg.norm(dense - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_twisted_apply_stack_equals_slices(rng):
+    n = 21
+    a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
+    stack = np.stack([[_decaying(rng, L, n) for _ in range(3)] for _ in range(2)])
+    got = tw.twisted_apply(a, stack)
+    assert got.shape == stack.shape
+    for j in range(2):
+        for k in range(3):
+            one = tw.twisted_apply(a, stack[j, k])
+            assert np.max(np.abs(got[j, k] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_grid_convolution_on_a_101_point_grid(wong_cache):
+    a = wong_cache(((0,), (1,)), L, 101)
+    b = wong_cache(((1,), (3,)), L, 101)
+    out = tw.twisted_convolution_grid(a, b)
+    assert l2_gap(out, wong_cache(((0,), (3,)), L, 101)) < 1e-5
+
+
+def test_twisted_apply_rejects_even_grid_and_d2():
+    even = tw.hermite_wong_eval(((0,), (0,)), L, 64)
+    with pytest.raises(ValueError, match="odd"):
+        tw.twisted_apply(even, even.values)
+    d2 = tw.GridFunction(4, L, 17, np.zeros((17,) * 4))
+    with pytest.raises(ValueError, match="d = 1"):
+        tw.twisted_apply(d2, np.zeros((17, 17)))
+    odd = tw.hermite_wong_eval(((0,), (0,)), L, 17)
+    with pytest.raises(ValueError, match="slices"):
+        tw.twisted_apply(odd, np.zeros((17, 16)))
+
+
 def test_composition_identity_against_kernel_quadrature(rng, wong_cache):
     # kernels of the product match the z-integral of composed kernels
     Ca = tw.WongCoeffMatrix(1, 3, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))

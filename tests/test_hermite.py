@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -218,3 +219,26 @@ def test_coeff_vector_json_round_trip():
     back = tw.coeff_vector_from_json(tw.coeff_vector_to_json(f))
     assert back.d == 2 and back.n_max == 2
     np.testing.assert_allclose(back.coeffs, v)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_vector_coefficients_rejected(bad):
+    # the norm of such a vector is inf or nan
+    with pytest.raises(ValueError, match="finite"):
+        tw.HermiteCoeffVector(1, 2, [1.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("obj", [
+    {"n_max": 2, "coeffs": []},
+    {"d": 1, "n_max": 2},
+    {"d": 1, "n_max": 2, "coeffs": [[3, 1.0, 0.0]]},
+    {"d": 1, "n_max": 2, "coeffs": [[-1, 1.0, 0.0]]},
+    {"d": 2, "n_max": 2, "coeffs": [[0, 1.0, 0.0]]},
+    {"d": 1, "n_max": 2, "coeffs": [[0, "1.0", 0.0]]},
+    {"d": 1, "n_max": 2, "coeffs": [[0, float("inf"), 0.0]]},
+    [1, 2, 0.5],
+], ids=["missing-d", "missing-coeffs", "index-above-n-max", "negative-index",
+        "short-row", "string-value", "non-finite", "not-an-object"])
+def test_coeff_vector_json_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        tw.coeff_vector_from_json(json.dumps(obj))
