@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .hermite import _along_each_axis, hermite_batch, index_totals, multi_indices
+from .hermite import _along_each_axis, _coeff_rows, _coeff_tensor, hermite_batch, index_totals, multi_indices
 from .phase_space import (
     DEFAULT_BOX,
     GridFunction,
@@ -58,9 +58,6 @@ class WongCoeffMatrix:
     @property
     def side(self) -> int:
         return (self.n_max + 1) ** self.d
-
-    def indices(self) -> list[tuple[int, ...]]:
-        return multi_indices(self.d, self.n_max)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -258,15 +255,9 @@ def weyl_product(Ca: WongCoeffMatrix, Cb: WongCoeffMatrix) -> WongCoeffMatrix:
 
 
 def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
-    """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}."""
-    idx = C.indices()
-    rows = []
-    for i, a1 in enumerate(idx):
-        for j, a2 in enumerate(idx):
-            v = C.entries[i, j]
-            if v != 0:
-                rows.append([*a1, *a2, v.real, v.imag])
-    obj = {"d": C.d, "n_max": C.n_max, "entries": rows}
+    """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}, zeros omitted."""
+    obj = {"d": C.d, "n_max": C.n_max,
+           "entries": _coeff_rows(C.entries.reshape((C.n_max + 1,) * (2 * C.d)))}
     if meta:
         obj.update(meta)
     return json.dumps(obj, sort_keys=True)
@@ -274,23 +265,6 @@ def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
 
 def wong_from_json(text: str) -> WongCoeffMatrix:
     """Parse the wong_to_json form; malformed input raises ValueError."""
-    obj = json.loads(text)
-    try:
-        d, n_max, rows = int(obj["d"]), int(obj["n_max"]), list(obj["entries"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"coefficient JSON needs numbers d, n_max and a list entries: {exc!r}") from None
-    if d not in (1, 2) or n_max < 0:
-        raise ValueError(f"coefficient JSON has d={d}, n_max={n_max}; need d in {{1, 2}}, n_max >= 0")
-    idx = multi_indices(d, n_max)
-    lookup = {a: i for i, a in enumerate(idx)}
-    entries = np.zeros((len(idx), len(idx)), dtype=complex)
-    for row in rows:
-        try:
-            if len(row) != 2 * d + 2:
-                raise ValueError
-            a1 = tuple(int(v) for v in row[:d])
-            a2 = tuple(int(v) for v in row[d:2 * d])
-            entries[lookup[a1], lookup[a2]] = row[2 * d] + 1j * row[2 * d + 1]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise ValueError(f"entry {row!r} is not {2 * d + 2} numbers with indices in 0..{n_max}") from None
-    return WongCoeffMatrix(d, n_max, entries)
+    d, n_max, T = _coeff_tensor(text, "entries", 2)
+    side = (n_max + 1) ** d
+    return WongCoeffMatrix(d, n_max, T.reshape(side, side))

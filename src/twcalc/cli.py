@@ -228,10 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"twcalc: {exc}", file=sys.stderr)
-        return 2
-    except (TwcError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, TwcError, ValueError) as exc:
         print(f"twcalc: {exc}", file=sys.stderr)
         return 2
 

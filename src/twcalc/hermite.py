@@ -31,11 +31,6 @@ def multi_indices(d: int, n_max: int) -> list[tuple[int, ...]]:
     return list(product(range(n_max + 1), repeat=d))
 
 
-def index_total(alpha) -> int:
-    """|alpha|, the sum of the components."""
-    return int(sum(alpha))
-
-
 def index_totals(d: int, n_max: int) -> np.ndarray:
     """Array of |alpha| over multi_indices(d, n_max), C order."""
     return np.indices((n_max + 1,) * d).sum(axis=0).reshape(-1)
@@ -231,34 +226,59 @@ def synthesize_hermite(f: HermiteCoeffVector, box_half_width: float, points_per_
     return GridFunction(f.d, box_half_width, points_per_axis, values)
 
 
+def _coeff_rows(T: np.ndarray) -> list[tuple]:
+    """Nonzero entries of T as (index..., re, im) rows in C order.
+
+    Indices are Python ints and parts Python floats, so json.dumps writes
+    integers and shortest round-trip floats.  Zero entries are omitted.
+    """
+    nz = np.nonzero(T)
+    v = T[nz]
+    return list(zip(*(i.tolist() for i in nz), v.real.tolist(), v.imag.tolist()))
+
+
+def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]:
+    """Parse {"d", "n_max", key: rows} into (d, n_max, T).
+
+    T has shape (n_max + 1,) * (rank * d) and rows are [index..., re, im].
+    d in {1, 2} and n_max >= 0 must be JSON integers, every row rank * d + 2
+    numbers and every index an integer in 0..n_max; anything else raises
+    ValueError.  The checks run on the whole array at once.
+    """
+    obj = json.loads(text)
+    try:
+        d, n_max, rows = obj["d"], obj["n_max"], obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coefficient JSON needs integers d, n_max and a list {key}: {exc!r}") from None
+    if type(d) is not int or type(n_max) is not int or d not in (1, 2) or n_max < 0 \
+            or type(rows) is not list:
+        raise ValueError(f"coefficient JSON has d={d!r}, n_max={n_max!r} and a {type(rows).__name__} "
+                         f"{key}; need integers d in {{1, 2}}, n_max >= 0 and a list")
+    k = rank * d
+    try:
+        arr = np.array(rows) if rows else np.empty((0, k + 2))
+        if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if":
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
+    del obj, rows                   # the parsed rows dominate peak memory; free them before T
+    idx = arr[:, :k]
+    bad = ~np.all((idx >= 0) & (idx <= n_max) & (idx == np.floor(idx)), axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{key}[{i}] = {arr[i].tolist()} has an index that is not an integer in 0..{n_max}")
+    T = np.zeros((n_max + 1,) * k, dtype=complex)
+    at = tuple(idx.astype(np.intp).T)
+    T.real[at] = arr[:, k]          # part by part, so signed zeros survive
+    T.imag[at] = arr[:, k + 1]
+    return d, n_max, T
+
+
 def coeff_vector_to_json(f: HermiteCoeffVector) -> str:
     """JSON form {"d", "n_max", "coeffs": [[index..., re, im], ...]}, zeros omitted."""
-    entries = []
-    for alpha in multi_indices(f.d, f.n_max):
-        c = f.coeffs[alpha]
-        if c != 0:
-            entries.append([*alpha, c.real, c.imag])
-    return json.dumps({"d": f.d, "n_max": f.n_max, "coeffs": entries})
+    return json.dumps({"d": f.d, "n_max": f.n_max, "coeffs": _coeff_rows(f.coeffs)})
 
 
 def coeff_vector_from_json(text: str) -> HermiteCoeffVector:
     """Parse the coeff_vector_to_json form; malformed input raises ValueError."""
-    obj = json.loads(text)
-    try:
-        d, n_max, rows = int(obj["d"]), int(obj["n_max"]), list(obj["coeffs"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"coefficient vector JSON needs numbers d, n_max and a list coeffs: {exc!r}") from None
-    if d not in (1, 2) or n_max < 0:
-        raise ValueError(f"coefficient vector JSON has d={d}, n_max={n_max}; need d in {{1, 2}}, n_max >= 0")
-    coeffs = np.zeros((n_max + 1,) * d, dtype=complex)
-    for row in rows:
-        try:
-            if len(row) != d + 2:
-                raise ValueError
-            alpha = tuple(int(v) for v in row[:d])
-            if not all(0 <= v <= n_max for v in alpha):
-                raise ValueError
-            coeffs[alpha] = row[d] + 1j * row[d + 1]
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"coefficient {row!r} is not {d + 2} numbers with indices in 0..{n_max}") from None
-    return HermiteCoeffVector(d, n_max, coeffs)
+    return HermiteCoeffVector(*_coeff_tensor(text, "coeffs", 1))

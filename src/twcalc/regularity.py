@@ -73,16 +73,16 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
     A = C.entries
     if A.shape[0] != A.shape[1]:
         raise ValueError("coefficient matrix must be square")
-    scale = float(np.linalg.norm(A, 2)) if A.any() else 0.0
-    if scale == 0.0:
+    if not A.any():
         return PositivityResult(True, 0.0, 0.0)
     herm_defect = float(np.linalg.norm(A - A.conj().T) / np.linalg.norm(A))
     Hpart = 0.5 * (A + A.conj().T)
     w, V = np.linalg.eigh(Hpart)
     lo = float(w[0])
-    if herm_defect > tol:
-        return PositivityResult(False, lo, herm_defect, V[:, 0])
-    if lo < -tol * scale:
+    # ||Hpart||_2 stands in for ||C||_2: it is only read once herm_defect <= tol,
+    # and then the two differ by at most tol * ||C||_F / 2
+    scale = max(-lo, float(w[-1]))
+    if herm_defect > tol or lo < -tol * scale:
         return PositivityResult(False, lo, herm_defect, V[:, 0])
     return PositivityResult(True, lo, herm_defect)
 
@@ -332,6 +332,16 @@ def verify_regularity_theorem(planted_s: float, rank: int, seed: int, n_powers: 
                            {"rank": rank, "planted_r": planted_r}, mode=mode)
 
 
+def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
+    """Report fields of a failed PSD test; the witness as [re, im] pairs."""
+    return {
+        "pass": False,
+        "reason": reason,
+        "min_eigenvalue": pos.min_eigenvalue,
+        "witness": [[v.real, v.imag] for v in pos.witness],
+    }
+
+
 def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
                     mode: str = "origin") -> dict:
     pos = is_positive_twisted(C)
@@ -344,13 +354,7 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
     }
     report.update(extra)
     if not pos:
-        report.update({
-            "pass": False,
-            "reason": "input is not positive semi-definite",
-            "min_eigenvalue": pos.min_eigenvalue,
-            "witness": None if pos.witness is None else
-                [[v.real, v.imag] for v in pos.witness],
-        })
+        report.update(_not_psd_report(pos, "input is not positive semi-definite"))
         return report
     growth = growth_sequence(C, n_powers, norm=mode)
     decay = classify_decay(C)
@@ -369,11 +373,11 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
         report["pass"] = planted_s is None or planted_s == 0.0
         report["reason"] = "finite or near-finite expansion; order-0 class"
         return report
-    ok = (abs(growth.s_hat - planted_s) <= s_tol if planted_s is not None else True) and \
-         (abs(decay.s_hat - planted_s) <= s_tol if planted_s is not None else True)
     if planted_s is None:
         ok = abs(growth.s_hat - decay.s_hat) <= s_tol
         report["reason"] = "no planted order; growth and decay fits compared to each other"
+    else:
+        ok = abs(growth.s_hat - planted_s) <= s_tol and abs(decay.s_hat - planted_s) <= s_tol
     report["pass"] = bool(ok)
     return report
 
@@ -399,13 +403,7 @@ def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,
     op = WongCoeffMatrix(C_symbol.d, C_symbol.n_max, M)
     pos = is_positive_twisted(op)
     if not pos:
-        return {
-            "pass": False,
-            "reason": "Weyl operator is not positive semi-definite",
-            "min_eigenvalue": pos.min_eigenvalue,
-            "witness": None if pos.witness is None else
-                [[v.real, v.imag] for v in pos.witness],
-        }
+        return _not_psd_report(pos, "Weyl operator is not positive semi-definite")
     Fa = fsigma_coeff(C_symbol)
     report = _theorem_report(Fa, planted_s, None, n_powers, s_tol, {"weyl_operator_psd": True})
     return report

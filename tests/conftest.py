@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import twcalc as tw
 
@@ -26,3 +28,13 @@ def wong_cache():
 def l2_gap(f, g) -> float:
     """Grid L2 distance between two GridFunctions on the same grid."""
     return float(np.sqrt(np.sum(np.abs(f.values - g.values) ** 2) * f.cell))
+
+
+# coefficient parts: finite floats, with both signed zeros drawn often
+_PART = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def sparse_coeffs(shape):
+    """Complex arrays of the given shape, mostly zero, some parts -0.0."""
+    return hnp.arrays(complex, shape, elements=st.builds(complex, _PART, _PART),
+                      fill=st.sampled_from([0j, complex(-0.0, -0.0)]))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import twcalc as tw
 from twcalc.errors import TruncationError
 
-from conftest import l2_gap
+from conftest import l2_gap, sparse_coeffs
 
 L = 8.0
 
@@ -307,3 +307,22 @@ def test_wong_json_sparsity():
     import json
     obj = json.loads(text)
     assert obj["entries"] == [[1, 2, 1.0, 0.0]]
+    # d = 2: rows in C order of (a1, a2), integer indices, round-trip float repr
+    C = np.zeros((4, 4), dtype=complex)
+    C[3, 0] = 0.1 + 0.2 - 2.0j      # a1 = (1, 1), a2 = (0, 0)
+    C[1, 2] = -1.0 / 3.0            # a1 = (0, 1), a2 = (1, 0)
+    assert tw.wong_to_json(tw.WongCoeffMatrix(2, 1, C)) == (
+        '{"d": 2, "entries": [[0, 1, 1, 0, -0.3333333333333333, 0.0], '
+        '[1, 1, 0, 0, 0.30000000000000004, -2.0]], "n_max": 1}')
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), n_max=st.integers(0, 5))
+def test_wong_json_round_trip_property(data, d, n_max):
+    side = (n_max + 1) ** d
+    C = tw.WongCoeffMatrix(d, n_max, data.draw(sparse_coeffs((side, side))))
+    text = tw.wong_to_json(C)
+    back = tw.wong_from_json(text)
+    assert (back.d, back.n_max) == (d, n_max)
+    np.testing.assert_array_equal(back.entries, C.entries)
+    assert tw.wong_to_json(back) == text

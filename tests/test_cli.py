@@ -108,11 +108,22 @@ def test_verify_missing_file_exits_2(tmp_path):
     '{"d": 1, "n_max": 4, "entries": [[0, 0, 1.0]]}',           # row too short
     '{"d": 1, "n_max": 4, "entries": [[0, 0, "x", 0.0]]}',      # value not a number
     '[1, 2]',                                                   # not an object
-], ids=["index-above-n-max", "missing-d", "short-row", "non-number", "not-an-object"])
+    '{"d": true, "n_max": 2, "entries": [[1.7, 0.2, 1.0, 0.0]]}',  # bool d, fractional indices
+], ids=["index-above-n-max", "missing-d", "short-row", "non-number", "not-an-object",
+        "bool-d-fractional-index"])
 def test_verify_malformed_input_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert run(["verify", "--in", bad, "--out", tmp_path / "r.json"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--in", ".", "--out", "r.json"],
+    ["gen", "--n-max", 4, "--out", "."],
+], ids=["in-is-a-directory", "out-is-a-directory"])
+def test_directory_path_exits_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
 
 
 def test_verify_input_records_the_matrix_config(tmp_path):

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import twcalc as tw
@@ -11,10 +13,11 @@ from twcalc.errors import ResolutionError
 from twcalc.hermite import (
     apply_H_coeff,
     default_node_count,
-    index_total,
     multi_indices,
     oscillator_eigenvalues,
 )
+
+from conftest import sparse_coeffs
 
 # independent oracle: the Rodrigues formula with the derivative carried out
 # symbolically on polynomial coefficients, evaluated at 50 digits
@@ -206,10 +209,7 @@ def test_multi_index_helpers():
     idx = multi_indices(2, 2)
     assert len(idx) == 9
     assert idx[0] == (0, 0)
-    assert index_total((3, 4)) == 7
     assert oscillator_eigenvalues(2, 1).tolist() == [2.0, 4.0, 4.0, 6.0]
-    # |alpha| for large orders stays exact in Python integers
-    assert index_total((4096,) * 2) == 8192
 
 
 def test_coeff_vector_json_round_trip():
@@ -219,6 +219,17 @@ def test_coeff_vector_json_round_trip():
     back = tw.coeff_vector_from_json(tw.coeff_vector_to_json(f))
     assert back.d == 2 and back.n_max == 2
     np.testing.assert_allclose(back.coeffs, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]), n_max=st.integers(0, 5))
+def test_coeff_vector_json_round_trip_property(data, d, n_max):
+    f = tw.HermiteCoeffVector(d, n_max, data.draw(sparse_coeffs((n_max + 1,) * d)))
+    text = tw.coeff_vector_to_json(f)
+    back = tw.coeff_vector_from_json(text)
+    assert (back.d, back.n_max) == (d, n_max)
+    np.testing.assert_array_equal(back.coeffs, f.coeffs)
+    assert tw.coeff_vector_to_json(back) == text
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -237,8 +248,10 @@ def test_non_finite_vector_coefficients_rejected(bad):
     {"d": 1, "n_max": 2, "coeffs": [[0, "1.0", 0.0]]},
     {"d": 1, "n_max": 2, "coeffs": [[0, float("inf"), 0.0]]},
     [1, 2, 0.5],
+    {"d": 1, "n_max": 2, "coeffs": [[1.7, 1.0, 0.0]]},
+    {"d": True, "n_max": 2, "coeffs": []},
 ], ids=["missing-d", "missing-coeffs", "index-above-n-max", "negative-index",
-        "short-row", "string-value", "non-finite", "not-an-object"])
+        "short-row", "string-value", "non-finite", "not-an-object", "fractional-index", "bool-d"])
 def test_coeff_vector_json_rejects_malformed_input(obj):
     with pytest.raises(ValueError):
         tw.coeff_vector_from_json(json.dumps(obj))

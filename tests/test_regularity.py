@@ -35,6 +35,19 @@ def test_non_hermitian_rejected():
     assert not res.is_positive and res.hermitian_defect > 0.1
 
 
+def test_psd_decision_at_the_threshold():
+    # tol = 1e-10 of the spectral norm
+    def positive(M):
+        return tw.is_positive_twisted(tw.WongCoeffMatrix(1, 1, M)).is_positive
+
+    for norm in (1.0, 1e6):
+        assert positive(norm * np.diag([1.0, -0.5e-10]))
+        assert not positive(norm * np.diag([1.0, -2e-10]))
+    # [[1, e], [0, 1]] has Hermitian defect e and eigenvalues 1 +- e/2
+    assert positive(np.array([[1.0, 0.5e-10], [0.0, 1.0]]))
+    assert not positive(np.array([[1.0, 1.5e-10], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_non_finite_coefficients_rejected(bad):
     # a non-finite entry used to pass positivity (inf) or crash eigh (nan)
