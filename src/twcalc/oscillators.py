@@ -21,7 +21,7 @@ import numpy as np
 from .errors import TruncationWarning
 from .algebra import WongCoeffMatrix
 from .hermite import oscillator_eigenvalues
-from .phase_space import GridFunction, check_boundary
+from .phase_space import GridFunction, _pair_slabs, check_boundary
 
 LADDER_FAMILIES = ("Z1", "Z1_tilde", "Z2", "Z2_tilde")
 
@@ -193,22 +193,24 @@ def _crop(C: WongCoeffMatrix, n_max: int) -> WongCoeffMatrix:
     return WongCoeffMatrix(C.d, n_max, out.reshape(side, side).copy())
 
 
-def _diff4(a: np.ndarray, axis: int, h: float, order: int) -> np.ndarray:
-    """4th-order central difference, zero beyond the boundary."""
-    def sh(k):
-        out = np.roll(a, -k, axis)
-        idx = [slice(None)] * a.ndim
-        if k > 0:
-            idx[axis] = slice(-k, None)
-        else:
-            idx[axis] = slice(0, -k)
-        out[tuple(idx)] = 0.0
-        return out
-    if order == 1:
-        out = (-sh(2) + 8 * sh(1) - 8 * sh(-1) + sh(-2)) / (12 * h)
-    else:
-        out = (-sh(2) + 16 * sh(1) - 30 * a + 16 * sh(-1) - sh(-2)) / (12 * h * h)
-    return out
+# 4th-order central differences: the centre weight in h^2 v'', and per
+# neighbour (k, weight of v[i + k] in h^2 v'', weight in h v')
+_CENTRE = -30 / 12
+_TAPS = ((-2, -1 / 12, 1 / 12), (-1, 16 / 12, -8 / 12), (1, 16 / 12, 8 / 12), (2, -1 / 12, -1 / 12))
+
+
+def _add_taps(out: np.ndarray, v: np.ndarray, axis: int, taps, tmp: np.ndarray):
+    """out += w * v[i + k] along ``axis`` for each (k, w), zero beyond the boundary.
+
+    Each weight broadcasts against v and is constant along ``axis``;
+    ``tmp`` is scratch of v's shape.
+    """
+    n, lead = v.shape[axis], (slice(None),) * (axis % v.ndim)
+    for k, w in taps:
+        dst = lead + (slice(max(-k, 0), n - max(k, 0)),)
+        src = lead + (slice(max(k, 0), n - max(-k, 0)),)
+        np.multiply(v[src], w, out=tmp[dst])
+        out[dst] += tmp[dst]
 
 
 def apply_h_sigma_grid(a: GridFunction, strict: bool = True, conjugate: bool = False) -> GridFunction:
@@ -216,40 +218,27 @@ def apply_h_sigma_grid(a: GridFunction, strict: bool = True, conjugate: bool = F
 
     Oracle only: validates the coefficient eigenvalues.  D = -i d/dx, so
     the rotation term is -i xi d_x + i x d_xi (sign flipped for H_bar).
+    Per axis pair (x_j, xi_j): (x_j^2 + xi_j^2) v plus, per axis, a 5-point
+    stencil folding -1/4 d^2 with the rotation term, whose factor is
+    constant along that axis; added in place, one slab at a time.
     """
     if a.dims not in (2, 4):
         raise ValueError("expects a phase-space function")
     check_boundary(a, strict, threshold=1e-6, what="oscillator input")
-    d = a.dims // 2
-    dx = a.spacing
-    axis = a.axis()
-    v = a.values
-    lap = sum(_diff4(v, ax, dx, 2) for ax in range(a.dims))
-    radial = np.zeros_like(v)
-    grids = np.meshgrid(*([axis] * a.dims), indexing="ij", sparse=True)
-    for g in grids:
-        radial = radial + g ** 2
-    rot = np.zeros_like(v)
-    sign = -1.0 if conjugate else 1.0
-    for j in range(d):
-        xi_j = grids[d + j]
-        x_j = grids[j]
-        rot = rot + sign * (-1j * xi_j * _diff4(v, j, dx, 1) + 1j * x_j * _diff4(v, d + j, dx, 1))
-    out = radial * v - 0.25 * lap + rot
+    h, x = a.spacing, a.axis()
+    lap = -0.25 / (h * h)
+    rot = (-1j if conjugate else 1j) * x / h
+    centre = (x * x)[:, None] + x * x + 2 * lap * _CENTRE
+    along_x = [(k, lap * d2 - d1 * rot) for k, d2, d1 in _TAPS]             # -i xi_j d_xj
+    along_xi = [(k, lap * d2 + d1 * rot[:, None]) for k, d2, d1 in _TAPS]   # +i x_j d_xij
+    out = np.zeros_like(a.values)
+    for j in range(a.dims // 2):
+        for v, acc in _pair_slabs(j, a.values, out):
+            tmp = np.multiply(v, centre)
+            acc += tmp
+            _add_taps(acc, v, -2, along_x, tmp)
+            _add_taps(acc, v, -1, along_xi, tmp)
     return GridFunction(a.dims, a.box_half_width, a.points_per_axis, out)
-
-
-def partial_oscillator_coeff(kernel: WongCoeffMatrix, factor: int) -> WongCoeffMatrix:
-    """Partial harmonic oscillator acting on one tensor slot of a kernel.
-
-    factor 1 scales rows by (2|a1| + d); factor 2 scales columns, matching
-    (|x|^2 - Delta_x) and (|y|^2 - Delta_y) on kernels K(x, y).
-    """
-    if factor == 1:
-        return apply_h_sigma_coeff(kernel)
-    if factor == 2:
-        return apply_h_bar_sigma_coeff(kernel)
-    raise ValueError("factor must be 1 or 2")
 
 
 def intertwine_residual(C: WongCoeffMatrix, n1: int, n2: int) -> float:
@@ -269,11 +258,11 @@ def intertwine_residual(C: WongCoeffMatrix, n1: int, n2: int) -> float:
         left = apply_h_bar_sigma_coeff(left)
     left = kernel_map_A_coeff(left)
 
-    right = kernel_map_A_coeff(C)
+    right = kernel_map_A_coeff(C)       # rows, columns scale as |x|^2 - Delta_x, |y|^2 - Delta_y
     for _ in range(n1):
-        right = partial_oscillator_coeff(right, 1)
+        right = apply_h_sigma_coeff(right)
     for _ in range(n2):
-        right = partial_oscillator_coeff(right, 2)
+        right = apply_h_bar_sigma_coeff(right)
 
     denom = right.norm()
     if denom == 0.0:

@@ -123,24 +123,34 @@ def _dft_kernel(L: float, n: int) -> np.ndarray:
     return np.exp(-2j * np.outer(x, x))
 
 
+def _pair_slabs(j: int, *arrays: np.ndarray):
+    """Views of equal-shape 2d-axis arrays with the axis pair (j, d + j) last.
+
+    One tuple per slab, an index of the batch axes bar the last: the whole
+    array at d = 1, n slabs of n^3 samples at d = 2.  Slabs are disjoint.
+    """
+    moved = [np.moveaxis(x, (j, x.ndim // 2 + j), (-2, -1)) for x in arrays]
+    for b in np.ndindex(moved[0].shape[:-3]):
+        yield tuple(m[b] for m in moved)
+
+
 def _each_pair(vals: np.ndarray, pair_map) -> np.ndarray:
     """Apply a one-pair map along every axis pair (j, d + j) of a 2d-axis array.
 
     ``pair_map`` takes a stack (..., n, n) whose last two axes are the pair
     and returns the mapped stack; the remaining axes are batch axes.  All
     four grid transforms factor this way because the symplectic form is a
-    sum over the pairs (x_j, xi_j).  Each pair's intermediates are released
-    before the next pair runs.  Pair maps contract the last axis with
-    ``np.tensordot`` (one GEMM over the whole stack, where ``@`` would run
-    one per batch entry) and scale in place: at d = 2 a fresh n^4 buffer
-    costs about as much as the scaling itself.  The result comes back in
-    the input's axis order as a view, not necessarily C-contiguous.
+    sum over the pairs (x_j, xi_j).  The map runs slab by slab into one
+    output that later pairs transform in place, so at d = 2 it holds O(n^3)
+    beside the n^4 input and output.  Pair maps contract with one
+    ``np.tensordot`` GEMM per slab and scale in place.
     """
-    d = vals.ndim // 2
-    for j in range(d):
-        vals = pair_map(np.moveaxis(vals, (j, d + j), (-2, -1)))
-        vals = np.moveaxis(vals, (-2, -1), (j, d + j))
-    return vals
+    out = np.empty(vals.shape, dtype=complex)
+    for j in range(vals.ndim // 2):
+        for src, dst in _pair_slabs(j, vals, out):
+            dst[...] = pair_map(src)
+        vals = out
+    return out
 
 
 def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunction:

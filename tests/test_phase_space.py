@@ -228,6 +228,29 @@ def test_kernel_map_d2():
     assert np.max(np.abs(K.values - want)) < 2e-6
 
 
+D2_TRANSFORMS = {
+    "symplectic_fourier": lambda a: tw.symplectic_fourier(a, strict=False),
+    "kernel_map_A_grid": lambda a: tw.kernel_map_A_grid(a, strict=False),
+    "inverse_kernel_map_grid": tw.inverse_kernel_map_grid,
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+@pytest.mark.parametrize("name", D2_TRANSFORMS)
+def test_d2_transform_of_product_is_product_of_d1_transforms(name):
+    # T(r1 (x) r2) = T(r1) (x) T(r2), axes (x1, x2, xi1, xi2); two different
+    # generic factors, so a slab or axis-order slip shows
+    box, n = 5.5, 33
+    rng = np.random.default_rng(33)
+    transform = D2_TRANSFORMS[name]
+    r1, r2 = (tw.synthesize(tw.WongCoeffMatrix(1, 3, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))),
+                            box, n) for _ in range(2))
+    r = tw.GridFunction(4, box, n, np.einsum("ik,jl->ijkl", r1.values, r2.values))
+    want = np.einsum("ik,jl->ijkl", transform(r1).values, transform(r2).values)
+    got = transform(r).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # --- serialization ---
 
 def test_grid_binary_round_trip(tmp_path):
