@@ -15,14 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .hermite import _along_each_axis, _coeff_rows, _coeff_tensor, hermite_batch, index_totals, multi_indices
+from .hermite import _coeff_rows, _coeff_tensor, hermite_batch, index_totals, multi_indices
 from .phase_space import (
     DEFAULT_BOX,
     GridFunction,
-    check_boundary,
     _dft_kernel,
-    inverse_kernel_map_grid,
-    kernel_map_A_grid,
+    _each_pair,
+    _inverse_pair_map,
+    _kernel_pair_map,
+    check_boundary,
     require_same_grid,
 )
 
@@ -83,17 +84,26 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
 
     Since the kernel map is unitary, the pairing is taken against the
     Hermite tensor basis on the kernel side, which avoids materializing the
-    full rho stack.  Errors out when more than ``tail_threshold`` of the
-    squared mass lies outside the index box.
+    full rho stack.  Pair by pair: the kernel map's pair map, then
+    H K H^T with H[a, x] = h_a(x) dx, which shrinks the pair to the index
+    box.  At d = 2 the first pair costs about 3n^5 complex multiply-adds on
+    n^2 matrices and the second runs on only (n_max + 1)^2 of them; the n^4
+    kernel is never built.  Errors out when more than ``tail_threshold`` of
+    the squared mass lies outside the index box.
     """
     d = a.dims // 2
-    K = kernel_map_A_grid(a, strict=strict)
-    hs = hermite_batch(n_max, K.axis())
-    side = (n_max + 1) ** d
-    C = _along_each_axis(hs, K.values).reshape(side, side)
-    for _ in range(a.dims):             # one quadrature weight per contracted axis
-        C *= K.spacing
-    out = WongCoeffMatrix(d, n_max, C)
+    kernel = _kernel_pair_map(a, strict)
+    H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
+    k = n_max + 1
+
+    def pair_map(b):                                   # [t, x, xi] -> [t, a1, a2]
+        K = kernel(b)
+        t, n, _ = K.shape
+        KH = (K.reshape(-1, n) @ H.T).reshape(t, n, k)               # [t, x, a2]
+        return (KH.transpose(0, 2, 1).reshape(-1, n) @ H.T).reshape(t, k, k).transpose(0, 2, 1)
+
+    side = k ** d
+    out = WongCoeffMatrix(d, n_max, _each_pair(a.values, pair_map, k).reshape(side, side))
     total = a.norm() ** 2
     if total > 0:
         tail = max(0.0, total - out.norm() ** 2) / total
@@ -108,23 +118,30 @@ def synthesize(C: WongCoeffMatrix, box_half_width: float = DEFAULT_BOX,
                points_per_axis: int | None = None) -> GridFunction:
     """Pointwise sum of c_{a1,a2} rho_{a1,a2} on the phase-space grid.
 
-    Runs through the inverse kernel map on an odd refinement of the target
-    grid (where the map is exact), then decimates, so even point counts are
-    served without interpolation.
+    Pair by pair: the kernel H^T c H on an odd grid, with H[a, x] = h_a(x),
+    then the inverse kernel map's pair map, which is exact there.  An even
+    point count n is served without interpolation: the pair runs on the
+    odd refinement 2n - 1 and keeps every second node, right after its map,
+    so d = 2 never holds the (2n - 1)^4 grid.  At d = 2 the first pair runs
+    on (n_max + 1)^2 matrices and the second on n^2, about n^5 complex
+    multiply-adds in all.
     """
     if points_per_axis is None:
         points_per_axis = DEFAULT_SYNTH_POINTS[C.d]
     n = points_per_axis
-    work_n = n if n % 2 == 1 else 2 * n - 1
-    axis = np.linspace(-box_half_width, box_half_width, work_n)
-    hs = hermite_batch(C.n_max, axis)
-    C_axes = C.entries.reshape((C.n_max + 1,) * (2 * C.d))   # (alpha1, alpha2) axes
-    K = _along_each_axis(hs.T, C_axes)
-    out = inverse_kernel_map_grid(GridFunction(2 * C.d, box_half_width, work_n, K))
-    if work_n != n:
-        sl = (slice(None, None, 2),) * out.dims
-        out = GridFunction(out.dims, box_half_width, n, out.values[sl])
-    return out
+    work_n, step = (n, 1) if n % 2 == 1 else (2 * n - 1, 2)
+    H = hermite_batch(C.n_max, np.linspace(-box_half_width, box_half_width, work_n))
+    inverse = _inverse_pair_map(box_half_width, work_n)
+    k = C.n_max + 1
+
+    def pair_map(c):                                   # [t, a1, a2] -> [t, x, xi]
+        t = c.shape[0]
+        cH = (c.reshape(-1, k) @ H).reshape(t, k, work_n)            # [t, a1, y]
+        K = (cH.transpose(0, 2, 1).reshape(-1, k) @ H).reshape(t, work_n, work_n)
+        return inverse(K.transpose(0, 2, 1))[:, ::step, ::step]
+
+    C_axes = C.entries.reshape((k,) * (2 * C.d))       # (alpha1, alpha2) axes
+    return GridFunction(2 * C.d, box_half_width, n, _each_pair(C_axes, pair_map, n))
 
 
 def kernel_map_A_coeff(C: WongCoeffMatrix) -> WongCoeffMatrix:

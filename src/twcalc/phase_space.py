@@ -70,7 +70,7 @@ class GridFunction:
         return self.spacing ** self.dims
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.cell))
+        return float(np.sqrt(np.vdot(self.values, self.values).real * self.cell))
 
     def inner(self, other: "GridFunction") -> complex:
         require_same_grid(self, other)
@@ -124,33 +124,54 @@ def _dft_kernel(L: float, n: int) -> np.ndarray:
 
 
 def _pair_slabs(j: int, *arrays: np.ndarray):
-    """Views of equal-shape 2d-axis arrays with the axis pair (j, d + j) last.
+    """Views (t, p, q) of 2d-axis arrays with the axis pair (j, d + j) last.
 
     One tuple per slab, an index of the batch axes bar the last: the whole
-    array at d = 1, n slabs of n^3 samples at d = 2.  Slabs are disjoint.
+    array as one stack of t = 1 matrix at d = 1, n stacks of t = n matrices
+    at d = 2.  The arrays share their batch axes; their pair axes may
+    differ in size.  Slabs are disjoint.
     """
-    moved = [np.moveaxis(x, (j, x.ndim // 2 + j), (-2, -1)) for x in arrays]
+    d = arrays[0].ndim // 2
+    moved = [np.moveaxis(x[None], (1 + j, 1 + d + j), (-2, -1)) for x in arrays]
     for b in np.ndindex(moved[0].shape[:-3]):
         yield tuple(m[b] for m in moved)
 
 
-def _each_pair(vals: np.ndarray, pair_map) -> np.ndarray:
+def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarray:
     """Apply a one-pair map along every axis pair (j, d + j) of a 2d-axis array.
 
-    ``pair_map`` takes a stack (..., n, n) whose last two axes are the pair
-    and returns the mapped stack; the remaining axes are batch axes.  All
-    four grid transforms factor this way because the symplectic form is a
-    sum over the pairs (x_j, xi_j).  The map runs slab by slab into one
-    output that later pairs transform in place, so at d = 2 it holds O(n^3)
-    beside the n^4 input and output.  Pair maps contract with one
-    ``np.tensordot`` GEMM per slab and scale in place.
+    ``pair_map`` takes a stack [t, p, q] of t matrices over the pair and
+    returns the mapped stack [t, i, j], each pair axis now ``size`` points
+    long (default: unchanged).  All grid transforms factor this way because
+    the symplectic form is a sum over the pairs (x_j, xi_j).  The map runs
+    slab by slab and its result is written into the output slab.  A map
+    that keeps the size transforms later pairs in place, so at d = 2 it
+    holds O(n^3) beside the n^4 input and output; one that shrinks the
+    pairs (expand) never holds an n^4 array, and one that grows them
+    (synthesize) runs its first pair on the few matrices of its small input.
+    Pair maps contract a whole slab per GEMM (see ``_batch_middle``).
     """
-    out = np.empty(vals.shape, dtype=complex)
-    for j in range(vals.ndim // 2):
+    d = vals.ndim // 2
+    for j in range(d):
+        shape = list(vals.shape)
+        if size is not None:
+            shape[j] = shape[d + j] = size
+        out = vals if j and vals.shape == tuple(shape) else np.empty(shape, dtype=complex)
         for src, dst in _pair_slabs(j, vals, out):
             dst[...] = pair_map(src)
         vals = out
-    return out
+    return vals
+
+
+def _batch_middle(b: np.ndarray) -> np.ndarray:
+    """Copy a stack [t, p, q] into C order [p, t, q].
+
+    With the batch in the middle a contraction over either pair axis is one
+    GEMM over the whole stack, ``M @ b.reshape(p, t * q)`` or
+    ``b.reshape(p * t, q) @ M``, not t small ones: at n = 49 that runs at
+    about 3x the rate of numpy's per-matrix batched ``matmul``.
+    """
+    return np.ascontiguousarray(b.transpose(1, 0, 2))
 
 
 def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunction:
@@ -174,10 +195,10 @@ def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunctio
     ok = (pos >= 0) & (pos < n)
     pc = np.clip(pos, 0, n - 1)
 
-    def pair_map(F):                                         # [u, v] -> [x, xi]
-        corr = F[..., idx, pc]                               # F(x_m, x_{2i-m}) at [i, m]
-        corr[..., ~ok] = 0.0
-        W = np.tensordot(corr, E, axes=1)
+    def pair_map(F):                                         # [t, u, v] -> [t, x, xi]
+        corr = F[:, idx, pc]                                 # F(x_m, x_{2i-m}) at [t, i, m]
+        corr[:, ~ok] = 0.0
+        W = (corr.reshape(-1, n) @ E).reshape(corr.shape)
         W *= const
         W *= np.conj(E)
         return W
@@ -207,9 +228,10 @@ def hermite_wong_eval(pair, box_half_width: float = DEFAULT_BOX,
         parts.append(wigner(f, g, strict=False).values * (-1) ** k1)
     vals = parts[0]
     for j, w in enumerate(parts[1:], 1):
-        # axes (x_1..x_j, xi_1..xi_j, x_{j+1}, xi_{j+1}): move x_{j+1} after x_j
-        vals = np.moveaxis(np.multiply.outer(vals, w), -2, j)
-    return GridFunction(2 * len(a1), box_half_width, points_per_axis, np.ascontiguousarray(vals))
+        # axes (x_1..x_j, xi_1..xi_j) gain x_{j+1} after x_j and xi_{j+1} last
+        n = w.shape[0]
+        vals = np.expand_dims(vals, j)[..., None] * w.reshape((1,) * j + (n,) + (1,) * j + (n,))
+    return GridFunction(2 * len(a1), box_half_width, points_per_axis, vals)
 
 
 def normalize_pair(pair):
@@ -238,12 +260,62 @@ def symplectic_fourier(a: GridFunction, strict: bool = True) -> GridFunction:
     E = _dft_kernel(a.box_half_width, a.points_per_axis)
     Ec = np.conj(E)
 
-    def pair_map(b):                                         # [y, eta] -> [x, xi]
-        out = np.tensordot(E @ np.swapaxes(b, -1, -2), Ec, axes=1)
+    def pair_map(b):                                         # [t, y, eta] -> [t, x, xi]
+        t, p, q = b.shape
+        Z = _batch_middle(b).reshape(-1, q) @ E              # eta -> x at [y, t, x]
+        out = (Ec @ Z.reshape(p, -1)).reshape(p, t, q)       # y -> xi at [xi, t, x]
         out *= dx * dx / np.pi
-        return out
+        return out.transpose(1, 2, 0)
 
     return GridFunction(a.dims, a.box_half_width, a.points_per_axis, _each_pair(a.values, pair_map))
+
+
+def _kernel_pair_map(a: GridFunction, strict: bool):
+    """The pair map [t, x, xi] -> [t, x, y] of ``kernel_map_A_grid``, after its checks.
+
+    K(x, y) = (2pi)^{-1/2} dx sum_k a((y-x)/2, xi_k) e^{-i (x+y) xi_k}.
+    The first argument of a is interpolated onto the half-step grid
+    u_r = -L + r dx/2 by the sinc matrix S, and T = S b is contracted with
+    P[k, s] = e^{i xi_k v_s} on the doubled box v_s = -2L + s dx, so that
+    K[i, j] is Q = T P at r = j - i + n - 1, s = 2(n-1) - i - j.  Even r are
+    grid nodes, where S is the identity, and s has the parity of r + n - 1,
+    so the map splits by the parity of r: Q_even = b P_even and
+    Q_odd = S_odd b P_odd, about 3n^3 multiply-adds per matrix, not the
+    6n^3 of the full (2n-1)^2 Q, most of which falls outside the diamond
+    of (r, s) that K reads.
+    """
+    if a.dims not in (2, 4):
+        raise ValueError("kernel_map_A_grid expects a phase-space function (dims 2 or 4)")
+    check_boundary(a, strict, what="kernel map input")
+    n = a.points_per_axis
+    L = a.box_half_width
+    dx = a.spacing
+    axis = a.axis()
+    u_odd = np.linspace(-L, L, 2 * n - 1)[1::2]
+    S_odd = np.sinc((u_odd[:, None] - axis[None, :]) / dx)
+    # n columns per parity; the last one, v = 2L + dx, only pads the shorter parity
+    v = -2 * L + dx * np.arange(2 * n)
+    P = (2.0 * np.pi) ** -0.5 * dx * np.exp(1j * np.outer(axis, v))
+    P_even = np.ascontiguousarray(P[:, (n - 1) % 2::2])
+    P_odd = np.ascontiguousarray(P[:, n % 2::2])
+    # Q[R, t, c] holds [Q_even; Q_odd]: K[t, i, j] sits at R = r // 2 + n (r % 2), c = s // 2
+    i = np.arange(n)
+    r = i[None, :] - i[:, None] + (n - 1)
+    at_R, at_c = r // 2 + n * (r % 2), (2 * (n - 1) - (i[:, None] + i[None, :])) // 2
+    flat_at = {}                                             # t -> flat indices [t, i, j] into Q
+
+    def pair_map(b):                                         # [t, x, xi] -> [t, x, y]
+        t = b.shape[0]
+        if t not in flat_at:
+            flat_at[t] = at_R * (t * n) + at_c + n * np.arange(t)[:, None, None]
+        b = _batch_middle(b)
+        Q = np.empty((2 * n, t, n), dtype=complex)
+        np.matmul(b.reshape(-1, n), P_even, out=Q[:n].reshape(-1, n))
+        T_odd = (S_odd @ b.reshape(n, -1)).reshape(-1, n)
+        np.matmul(T_odd, P_odd, out=Q[n:2 * n - 1].reshape(-1, n))
+        return Q.reshape(-1)[flat_at[t]]
+
+    return pair_map
 
 
 def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:
@@ -253,30 +325,36 @@ def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:
     variable followed by the affine pullback (x,y) -> ((y-x)/2, -(x+y)).
     The intermediate is tabulated on the half-step first axis and on the
     doubled box in the second, so the pullback is an exact node lookup on
-    the output grid.
+    the output grid.  Split by the parity of the half-step row, a pair
+    costs about 3n^3 complex multiply-adds per matrix, 6n^5 for all of d = 2
+    (see ``_kernel_pair_map``); even and odd n are both served.
     """
-    if a.dims not in (2, 4):
-        raise ValueError("kernel_map_A_grid expects a phase-space function (dims 2 or 4)")
-    check_boundary(a, strict, what="kernel map input")
-    n = a.points_per_axis
-    L = a.box_half_width
-    dx = a.spacing
-    axis = a.axis()
-    u = np.linspace(-L, L, 2 * n - 1)
-    v = np.linspace(-2 * L, 2 * L, 2 * n - 1)
-    S = np.sinc((u[:, None] - axis[None, :]) / dx)
-    P = np.exp(1j * np.outer(axis, v))
-    const = (2.0 * np.pi) ** -0.5 * dx
+    return GridFunction(a.dims, a.box_half_width, a.points_per_axis,
+                        _each_pair(a.values, _kernel_pair_map(a, strict)))
+
+
+def _inverse_pair_map(box_half_width: float, n: int):
+    """The pair map [t, x, y] -> [t, x, xi] of ``inverse_kernel_map_grid``; n odd."""
+    if n % 2 == 0:
+        raise ValueError("inverse kernel map needs an odd points_per_axis")
+    Ec = np.conj(_dft_kernel(box_half_width, n))
+    dx = np.linspace(-box_half_width, box_half_width, n, retstep=True)[1]   # NaN at n = 1, not an error
+    const = (2.0 * np.pi) ** -0.5 * (2.0 * dx)
+    h = (n - 1) // 2
     i = np.arange(n)
-    ui = (i[None, :] - i[:, None]) + (n - 1)
-    vi = 2 * (n - 1) - (i[:, None] + i[None, :])
+    lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
+    hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
+    ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
+    lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
 
-    def pair_map(b):                                         # [x, xi] -> [x, y]
-        K = np.tensordot(S @ b, P, axes=1)[..., ui, vi]
-        K *= const
-        return K
+    def pair_map(k):                                         # [t, x, y] -> [t, x, xi]
+        k = k[:, lo, hi]                                     # K(w - x, w + x) at [t, i, m]
+        k[:, ~ok] = 0.0
+        out = (k.reshape(-1, n) @ Ec).reshape(k.shape)
+        out *= const
+        return out
 
-    return GridFunction(a.dims, L, n, _each_pair(a.values, pair_map))
+    return pair_map
 
 
 def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
@@ -288,26 +366,8 @@ def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
     """
     if K.dims not in (2, 4):
         raise ValueError("inverse_kernel_map_grid expects dims 2 or 4")
-    n = K.points_per_axis
-    if n % 2 == 0:
-        raise ValueError("inverse kernel map needs an odd points_per_axis")
-    Ec = np.conj(_dft_kernel(K.box_half_width, n))
-    const = (2.0 * np.pi) ** -0.5 * (2.0 * K.spacing)
-    h = (n - 1) // 2
-    i = np.arange(n)
-    lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
-    hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
-    ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
-    lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
-
-    def pair_map(k):                                         # [x, y] -> [x, xi]
-        k = k[..., lo, hi]                                   # K(w - x, w + x) at [i, m]
-        k[..., ~ok] = 0.0
-        out = np.tensordot(k, Ec, axes=1)
-        out *= const
-        return out
-
-    return GridFunction(K.dims, K.box_half_width, n, _each_pair(K.values, pair_map))
+    pair_map = _inverse_pair_map(K.box_half_width, K.points_per_axis)
+    return GridFunction(K.dims, K.box_half_width, K.points_per_axis, _each_pair(K.values, pair_map))
 
 
 def write_grid(path, f: GridFunction):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,68 @@ def test_d2_synthesize_and_expand_round_trip(rng):
     assert np.max(np.abs(g.values - direct.values)) < 1e-12
     back = tw.expand(g, 2, strict=False, tail_threshold=1e-5)
     assert np.max(np.abs(back.entries - C.entries)) < 1e-5
+
+
+def _along_every_axis(vals, M):
+    # M along every axis of vals: the whole-array Hermite contraction
+    for _ in range(vals.ndim):
+        vals = np.tensordot(vals, M, axes=(0, 1))
+    return vals
+
+
+# pair-by-pair expand/synthesize against the whole-kernel route, relative to
+# the peak modulus; measured worst case 9e-16 at d = 1 (n = 72, 73, 128, 129)
+# and d = 2 (n = 24, 25, 33, 48, 49)
+ROUTE_TOL = 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+@pytest.mark.parametrize("d,box,n", [(1, L, 73), (1, L, 72), (2, 5.5, 25), (2, 5.5, 24)])
+def test_expand_and_synthesize_match_the_whole_kernel_route(d, box, n):
+    rng = np.random.default_rng(n)
+    n_max = 6 if d == 1 else 2
+    side = (n_max + 1) ** d
+    C = tw.WongCoeffMatrix(d, n_max, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    # synthesize: the n^{2d} kernel H^T C H on the odd work grid, one inverse kernel map, decimation
+    work = n if n % 2 else 2 * n - 1
+    K = _along_every_axis(C.entries.reshape((n_max + 1,) * (2 * d)),
+                          tw.hermite_batch(n_max, np.linspace(-box, box, work)).T)
+    step = (slice(None, None, (work - 1) // (n - 1)),) * (2 * d)
+    want = tw.inverse_kernel_map_grid(tw.GridFunction(2 * d, box, work, K)).values[step]
+    a = tw.synthesize(C, box, n)
+    assert np.max(np.abs(a.values - want)) <= ROUTE_TOL * np.max(np.abs(want))
+    # expand: the whole kernel, then the Hermite functions along every axis
+    K = tw.kernel_map_A_grid(a, strict=False)
+    want = _along_every_axis(K.values, tw.hermite_batch(n_max, K.axis())).reshape(side, side)
+    want *= K.spacing ** (2 * d)
+    got = tw.expand(a, n_max, strict=False, tail_threshold=1.0).entries
+    assert np.max(np.abs(got - want)) <= ROUTE_TOL * np.max(np.abs(want))
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_d2_synthesize_even_grid_decimates_each_pair_exactly():
+    # keeping every second node right after each pair gives the bits of mapping
+    # the whole odd refinement and decimating once
+    rng = np.random.default_rng(24)
+    C = tw.WongCoeffMatrix(2, 2, rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    n = 24
+    fine = tw.synthesize(C, 5.5, 2 * n - 1).values[::2, ::2, ::2, ::2]
+    np.testing.assert_array_equal(tw.synthesize(C, 5.5, n).values, fine)
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_d2_expand_never_holds_an_n4_array():
+    # the pairs shrink to the index box one by one; only check_boundary's
+    # real |a| temporary (half the input's size) is n^4 long
+    a = tw.synthesize(tw.unit_entry(2, 2, ((1, 0), (0, 2))), 5.5, 33)
+    n4_bytes = a.values.nbytes
+    tracemalloc.start()
+    try:
+        tw.expand(a, 2, strict=False, tail_threshold=1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n4_bytes
 
 
 # --- kernel map in coefficient space ---

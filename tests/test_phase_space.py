@@ -135,6 +135,24 @@ def test_kernel_map_sends_wong_to_hermite_tensor(pair, wong_cache):
     assert np.max(np.abs(K.values - target)) < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+@pytest.mark.parametrize("n", [17, 18, 21, 22])
+def test_kernel_map_matches_defining_sum(n):
+    # K(x_i, x_j) = (2pi)^{-1/2} dx sum_{m,k} sinc(((x_j - x_i)/2 - x_m)/dx) a[m, k] e^{-i (x_i + x_j) xi_k},
+    # term by term; even n flips which columns of the doubled box each half-step row meets
+    box = 4.0
+    rng = np.random.default_rng(n)
+    x = np.linspace(-box, box, n)
+    env = np.exp(-0.5 * (x[:, None] ** 2 + x[None, :] ** 2))
+    a = tw.GridFunction(2, box, n, (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * env)
+    dx = a.spacing
+    sinc = np.sinc(((x[None, :, None] - x[:, None, None]) / 2 - x[None, None, :]) / dx)    # [i, j, m]
+    phase = np.exp(-1j * (x[:, None, None] + x[None, :, None]) * x[None, None, :])          # [i, j, k]
+    want = (2 * np.pi) ** -0.5 * dx * np.einsum("ijm,mk,ijk->ij", sinc, a.values, phase)
+    got = tw.kernel_map_A_grid(a, strict=False).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_kernel_map_is_unitary(rng):
     C = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     a = tw.synthesize(tw.WongCoeffMatrix(1, 6, C), L, N)
