@@ -105,14 +105,13 @@ def cmd_verify(args) -> int:
     if args.input:
         with open(args.input) as fh:
             C = wong_from_json(fh.read())
-        config = {"d": C.d, "n_max": C.n_max, **_config_dict(args, ["N_max", "seed", "tol", "mode"])}
-        report = verify_matrix_report(C, args.N_max, planted_s=None, seed=args.seed,
-                                      s_tol=args.tol, mode=args.mode)
+        config = {"d": C.d, "n_max": C.n_max, **_config_dict(args, ["N_max", "seed", "tol"])}
+        report = verify_matrix_report(C, args.N_max, planted_s=None, seed=args.seed, s_tol=args.tol)
     else:
-        config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "seed", "tol", "mode"])
+        config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "planted_r", "seed", "tol"])
         report = verify_regularity_theorem(
             args.planted_s, args.rank, args.seed, args.N_max,
-            d=args.d, n_max=args.n_max, s_tol=args.tol, mode=args.mode)
+            d=args.d, n_max=args.n_max, planted_r=args.planted_r, s_tol=args.tol)
     report["config"] = config
     report["version"] = __version__
     growth = report.pop("growth_log_values", None)
@@ -128,7 +127,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "seed", "grid_L", "grid_n"])
+    config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "planted_r", "seed",
+                                 "grid_L", "grid_n"])
     os.makedirs(args.out_dir, exist_ok=True)
     kmax = min(args.n_max, 16)
 
@@ -166,8 +166,8 @@ def cmd_tables(args) -> int:
     _write_csv(os.path.join(args.out_dir, "oscillator_eigen_residuals.csv"),
                ["alpha1", "alpha2", "rel_error"], rows, config)
 
-    report = verify_regularity_theorem(args.planted_s, args.rank, args.seed,
-                                       args.N_max, d=args.d, n_max=args.n_max)
+    report = verify_regularity_theorem(args.planted_s, args.rank, args.seed, args.N_max,
+                                       d=args.d, n_max=args.n_max, planted_r=args.planted_r)
     rows = [(N, float(g)) for N, g in enumerate(report["growth_log_values"])]
     _write_csv(os.path.join(args.out_dir, "growth_sequence.csv"), ["N", "log_g_N"], rows, config)
     rows = [(report["planted_s"], report["fitted_s_growth"], report["fitted_s_decay"],
@@ -183,23 +183,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--d", type=int, default=1, choices=(1, 2))
-        sp.add_argument("--n-max", dest="n_max", type=int, default=48)
-        sp.add_argument("--N-max", dest="N_max", type=int, default=40)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--planted-s", dest="planted_s", type=float, default=0.5)
-        sp.add_argument("--planted-r", dest="planted_r", type=float, default=None)
-        sp.add_argument("--rank", type=int, default=3)
-        sp.add_argument("--grid-L", dest="grid_L", type=float, default=8.0)
-        sp.add_argument("--grid-n", dest="grid_n", type=int, default=129)
-        sp.add_argument("--tol", type=float, default=0.15)
-        sp.add_argument("--strict", action="store_true", default=True)
-        sp.add_argument("--permissive", dest="strict", action="store_false")
-        sp.add_argument("--mode", choices=("origin", "sup"), default="origin")
+    # what a planted element is drawn from; verify --in reads only --N-max and --seed
+    planted = argparse.ArgumentParser(add_help=False)
+    planted.add_argument("--d", type=int, default=1, choices=(1, 2))
+    planted.add_argument("--n-max", dest="n_max", type=int, default=48)
+    planted.add_argument("--N-max", dest="N_max", type=int, default=40)
+    planted.add_argument("--seed", type=int, default=0)
+    planted.add_argument("--planted-s", dest="planted_s", type=float, default=0.5)
+    planted.add_argument("--planted-r", dest="planted_r", type=float, default=None)
+    planted.add_argument("--rank", type=int, default=3)
 
-    g = sub.add_parser("gen", help="generate a random positive element with planted decay")
-    common(g)
+    g = sub.add_parser("gen", parents=[planted],
+                       help="generate a random positive element with planted decay")
     g.add_argument("--flavor", choices=("roumieu", "beurling"), default="roumieu")
     g.add_argument("--out", required=True)
     g.add_argument("--vectors-out", dest="vectors_out", default=None)
@@ -210,14 +205,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_compose)
 
-    v = sub.add_parser("verify", help="run the positivity/regularity verification")
-    common(v)
+    v = sub.add_parser("verify", parents=[planted], help="run the positivity/regularity verification")
+    v.add_argument("--tol", type=float, default=0.15)
     v.add_argument("--in", dest="input", default=None)
     v.add_argument("--out", required=True)
     v.set_defaults(func=cmd_verify)
 
-    t = sub.add_parser("tables", help="emit acceptance-style residual tables as CSV")
-    common(t)
+    t = sub.add_parser("tables", parents=[planted], help="emit acceptance-style residual tables as CSV")
+    t.add_argument("--grid-L", dest="grid_L", type=float, default=8.0)
+    t.add_argument("--grid-n", dest="grid_n", type=int, default=129)
+    t.add_argument("--permissive", dest="strict", action="store_false")
     t.add_argument("--out-dir", dest="out_dir", required=True)
     t.set_defaults(func=cmd_tables)
     return p

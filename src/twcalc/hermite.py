@@ -19,7 +19,6 @@ from itertools import product
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .errors import ResolutionError
 
@@ -46,11 +45,6 @@ def _along_each_axis(M: np.ndarray, vals: np.ndarray) -> np.ndarray:
     for _ in range(vals.ndim):
         vals = np.tensordot(vals, M, axes=(0, 1))
     return vals
-
-
-def log_factorial(n) -> np.ndarray:
-    """log(n!) in the log domain; works elementwise on arrays."""
-    return gammaln(np.asarray(n, dtype=float) + 1.0)
 
 
 def hermite_batch(n_max: int, x) -> np.ndarray:
@@ -258,6 +252,9 @@ def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]
     try:
         arr = np.array(rows) if rows else np.empty((0, k + 2))
         if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if":
+            raise ValueError
+        # numpy casts a bool among numbers to 0/1; the per-value scan runs only if JSON has one
+        if ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
             raise ValueError
     except ValueError:
         raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None

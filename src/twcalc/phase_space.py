@@ -50,6 +50,8 @@ class GridFunction:
     def __post_init__(self):
         if self.points_per_axis < 16:
             raise ValueError("points_per_axis must be >= 16")
+        if not (np.isfinite(self.box_half_width) and self.box_half_width > 0):
+            raise ValueError(f"box_half_width must be finite and > 0, got {self.box_half_width!r}")
         self.values = np.asarray(self.values, dtype=complex)
         expected = (self.points_per_axis,) * self.dims
         if self.values.shape != expected:
@@ -384,11 +386,18 @@ def write_grid(path, f: GridFunction):
 
 
 def read_grid(path) -> GridFunction:
+    """Read the write_grid layout; a bad magic, short header or wrong payload size raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ValueError(f"not a grid file: bad magic {magic!r}")
-        dims, L, n = struct.unpack("<IdI", fh.read(16))
-        raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    values = raw.reshape((n,) * dims).astype(complex)
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValueError(f"grid header has {len(header)} of 16 bytes")
+        dims, L, n = struct.unpack("<IdI", header)
+        payload = fh.read()
+    # n >= 2 gives n^dims >= 2^dims, so a dims past the payload's bit length cannot match it
+    if dims > len(payload).bit_length() or len(payload) != 8 * n ** dims:
+        raise ValueError(f"grid payload has {len(payload)} bytes, not 8 per point of a ({n},)*{dims} grid")
+    values = np.frombuffer(payload, dtype=np.complex64).reshape((n,) * dims).astype(complex)
     return GridFunction(dims, L, n, values)

@@ -26,7 +26,6 @@ from .hermite import index_totals, oscillator_eigenvalues
 from .phase_space import GridFunction, require_same_grid
 
 PSD_TOL = 1e-10
-SUP_MODE_MAX_POWER = 12
 
 
 @dataclass
@@ -114,8 +113,12 @@ def default_planted_rate(planted_s: float, n_max: int, n_powers: int) -> float:
 
     The dominant index in (T^N a)(0,0) sits near (2 s N / r)^{2s}; choosing
     r so that this stays inside the truncation at the largest power keeps
-    the growth fit unbiased.
+    the growth fit unbiased.  Needs finite planted_s > 0, n_max >= 1 and
+    n_powers >= 1; anything else raises ValueError.
     """
+    if not (np.isfinite(planted_s) and planted_s > 0) or n_max < 1 or n_powers < 1:
+        raise ValueError(f"need finite planted_s > 0, n_max >= 1 and n_powers >= 1, got "
+                         f"planted_s={planted_s!r}, n_max={n_max!r}, n_powers={n_powers!r}")
     return 2.0 * planted_s * n_powers / (0.5 * n_max) ** (1.0 / (2 * planted_s))
 
 
@@ -131,8 +134,12 @@ def random_positive_element(rank: int, planted_s: float, planted_r: float,
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if planted_s <= 0:
-        raise ValueError("planted_s must be > 0")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max!r}")
+    if not (np.isfinite(planted_s) and planted_s > 0):
+        raise ValueError(f"planted_s must be finite and > 0, got {planted_s!r}")
+    if not (np.isfinite(planted_r) and planted_r >= 0):
+        raise ValueError(f"planted_r must be finite and >= 0, got {planted_r!r}")
     rng = np.random.default_rng(seed)
     totals = index_totals(d, n_max).astype(float)
     rate = np.full_like(totals, planted_r)
@@ -278,32 +285,20 @@ def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
     return DecayFit(float(s_hat), r_hat, flavor, rms, npts, variant, note)
 
 
-def growth_sequence(C: WongCoeffMatrix, n_powers: int, norm: str = "origin",
-                    box_half_width: float = 8.0, points_per_axis: int = 129) -> GrowthSequence:
-    """log g_N for N = 0..n_powers and the fitted (log h, s).
+def growth_sequence(C: WongCoeffMatrix, n_powers: int) -> GrowthSequence:
+    """log g_N = log (T^N a)(0,0) for N = 0..n_powers and the fitted (log h, s).
 
-    origin mode evaluates (T^N a)(0,0) exactly; sup mode synthesizes T^N a
-    on the grid and takes the max modulus (N <= 12).  The fit regresses
-    log g_N on [1, 2N, 4 log N!], so s is the factorial-growth exponent.
+    The origin values are exact in coefficient space.  For PSD C they are
+    also the sup norms: a is a sum of displaced-parity expectations, so
+    |T^N a(X)| <= (T^N a)(0,0) everywhere.  The fit regresses log g_N on
+    [1, 2N, 4 log N!], so s is the factorial-growth exponent.
     """
     if n_powers < 4:
         raise ValueError("need n_powers >= 4 to fit")
     logs = np.empty(n_powers + 1)
-    if norm == "origin":
-        for N in range(n_powers + 1):
-            sign, lg = t_sigma_origin_log(C, N)
-            logs[N] = lg if sign > 0 else (-np.inf if sign == 0 else np.nan)
-    elif norm == "sup":
-        if n_powers > SUP_MODE_MAX_POWER:
-            raise ValueError(f"sup mode supports N <= {SUP_MODE_MAX_POWER}")
-        from .algebra import synthesize
-        from .oscillators import apply_t_sigma_coeff
-        for N in range(n_powers + 1):
-            g = synthesize(apply_t_sigma_coeff(C, N), box_half_width, points_per_axis)
-            m = float(np.max(np.abs(g.values)))
-            logs[N] = np.log(m) if m > 0 else -np.inf
-    else:
-        raise ValueError("norm must be 'origin' or 'sup'")
+    for N in range(n_powers + 1):
+        sign, lg = t_sigma_origin_log(C, N)
+        logs[N] = lg if sign > 0 else (-np.inf if sign == 0 else np.nan)
     Ns = np.arange(n_powers + 1, dtype=float)
     keep = np.isfinite(logs)
     if np.count_nonzero(keep) < 4:
@@ -317,19 +312,18 @@ def growth_sequence(C: WongCoeffMatrix, n_powers: int, norm: str = "origin",
 
 def verify_regularity_theorem(planted_s: float, rank: int, seed: int, n_powers: int,
                               d: int = 1, n_max: int = 48, planted_r: float | None = None,
-                              s_tol: float = 0.15, mode: str = "origin") -> dict:
+                              s_tol: float = 0.15) -> dict:
     """End-to-end check: positive element with planted order s is recovered.
 
     Generates a Gram element with planted decay, confirms positivity,
-    computes the growth sequence (origin values by default, sup norm on
-    request) and the coefficient-decay fit, and passes when both estimates
-    agree with the planted order within s_tol.
+    computes the growth sequence and the coefficient-decay fit, and passes
+    when both estimates agree with the planted order within s_tol.
     """
     if planted_r is None:
         planted_r = default_planted_rate(planted_s, n_max, n_powers)
     C, vectors = random_positive_element(rank, planted_s, planted_r, seed, d, n_max)
     return _theorem_report(C, planted_s, seed, n_powers, s_tol,
-                           {"rank": rank, "planted_r": planted_r}, mode=mode)
+                           {"rank": rank, "planted_r": planted_r})
 
 
 def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
@@ -342,8 +336,9 @@ def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
     }
 
 
-def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
-                    mode: str = "origin") -> dict:
+def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra) -> dict:
+    if not (np.isfinite(s_tol) and s_tol >= 0):
+        raise ValueError(f"s_tol must be finite and >= 0, got {s_tol!r}")
     pos = is_positive_twisted(C)
     report = {
         "planted_s": planted_s,
@@ -356,7 +351,7 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
     if not pos:
         report.update(_not_psd_report(pos, "input is not positive semi-definite"))
         return report
-    growth = growth_sequence(C, n_powers, norm=mode)
+    growth = growth_sequence(C, n_powers)
     decay = classify_decay(C)
     degenerate = growth.n_fit < 4 or decay.flavor == "indeterminate"
     report.update({
@@ -383,10 +378,9 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra,
 
 
 def verify_matrix_report(C: WongCoeffMatrix, n_powers: int, planted_s: float | None = None,
-                         seed: int | None = None, s_tol: float = 0.15,
-                         mode: str = "origin") -> dict:
+                         seed: int | None = None, s_tol: float = 0.15) -> dict:
     """Theorem pipeline on a provided matrix (CLI verify with an input file)."""
-    return _theorem_report(C, planted_s, seed, n_powers, s_tol, {}, mode=mode)
+    return _theorem_report(C, planted_s, seed, n_powers, s_tol, {})
 
 
 def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,

@@ -109,8 +109,9 @@ def test_verify_missing_file_exits_2(tmp_path):
     '{"d": 1, "n_max": 4, "entries": [[0, 0, "x", 0.0]]}',      # value not a number
     '[1, 2]',                                                   # not an object
     '{"d": true, "n_max": 2, "entries": [[1.7, 0.2, 1.0, 0.0]]}',  # bool d, fractional indices
+    '{"d": 1, "n_max": 2, "entries": [[true, 0, 1.0, 0.0]]}',   # bool index among numbers
 ], ids=["index-above-n-max", "missing-d", "short-row", "non-number", "not-an-object",
-        "bool-d-fractional-index"])
+        "bool-d-fractional-index", "bool-index"])
 def test_verify_malformed_input_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -131,7 +132,7 @@ def test_verify_input_records_the_matrix_config(tmp_path):
     assert run(["gen", "--d", 2, "--n-max", 4, "--out", src]) == 0
     assert run(["verify", "--in", src, "--N-max", 12, "--out", out]) in (0, 1)
     config = json.loads(out.read_text())["config"]
-    assert config == {"d": 2, "n_max": 4, "N_max": 12, "seed": 0, "tol": 0.15, "mode": "origin"}
+    assert config == {"d": 2, "n_max": 4, "N_max": 12, "seed": 0, "tol": 0.15}
 
 
 def test_tables_emit_documented_columns(tmp_path):
@@ -160,3 +161,52 @@ def test_tables_rerun_is_byte_identical(tmp_path):
                     "--grid-n", 128, "--out-dir", d]) == 0
     for name in ("hermite_orthonormality.csv", "growth_fit.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_verify_reads_planted_r_as_gen_does(tmp_path):
+    flags = ["--n-max", 12, "--N-max", 12, "--seed", 9, "--planted-r", 0.7]
+    src = tmp_path / "C.json"
+    assert run(["gen", *flags, "--out", src]) == 0
+    rows = {}
+    for name, argv in (("in", ["--in", src]), ("planted", [])):
+        out = tmp_path / f"{name}.json"
+        assert run(["verify", *flags, *argv, "--out", out]) in (0, 1)
+        rows[name] = (tmp_path / f"{name}_growth.csv").read_text().splitlines()[1:]
+    assert rows["in"] == rows["planted"]
+    assert json.loads((tmp_path / "planted.json").read_text())["config"]["planted_r"] == 0.7
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n-max", -1, "--out", "C.json"],
+    ["gen", "--n-max", -1, "--planted-r", 1, "--out", "C.json"],
+    ["gen", "--n-max", 4, "--planted-s", "inf", "--out", "C.json"],
+    ["gen", "--n-max", 4, "--planted-r", -1, "--out", "C.json"],
+    ["verify", "--n-max", 4, "--planted-s", 0, "--out", "r.json"],
+    ["verify", "--n-max", 0, "--out", "r.json"],
+    ["verify", "--n-max", 4, "--tol", "nan", "--out", "r.json"],
+    ["tables", "--n-max", 4, "--N-max", 8, "--grid-L", 0, "--out-dir", "t"],
+], ids=["gen-negative-n-max", "gen-negative-n-max-given-r", "gen-infinite-s", "gen-negative-r", "verify-zero-s",
+        "verify-zero-n-max", "verify-nan-tol", "tables-zero-box"])
+def test_out_of_range_values_exit_2(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert not (tmp_path / "C.json").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--grid-n", 129, "--out", "C.json"],
+    ["gen", "--tol", 0.1, "--out", "C.json"],
+    ["gen", "--permissive", "--out", "C.json"],
+    ["verify", "--grid-L", 8.0, "--out", "r.json"],
+    ["verify", "--strict", "--out", "r.json"],
+    ["verify", "--mode", "sup", "--out", "r.json"],
+    ["tables", "--tol", 0.1, "--out-dir", "t"],
+    ["tables", "--mode", "origin", "--out-dir", "t"],
+], ids=["gen-grid-n", "gen-tol", "gen-permissive", "verify-grid-L", "verify-strict", "verify-mode",
+        "tables-tol", "tables-mode"])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []

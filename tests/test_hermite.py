@@ -250,8 +250,10 @@ def test_non_finite_vector_coefficients_rejected(bad):
     [1, 2, 0.5],
     {"d": 1, "n_max": 2, "coeffs": [[1.7, 1.0, 0.0]]},
     {"d": True, "n_max": 2, "coeffs": []},
+    {"d": 1, "n_max": 2, "coeffs": [[True, 1.0, 0.0]]},
 ], ids=["missing-d", "missing-coeffs", "index-above-n-max", "negative-index",
-        "short-row", "string-value", "non-finite", "not-an-object", "fractional-index", "bool-d"])
+        "short-row", "string-value", "non-finite", "not-an-object", "fractional-index", "bool-d",
+        "bool-index"])
 def test_coeff_vector_json_rejects_malformed_input(obj):
     with pytest.raises(ValueError):
         tw.coeff_vector_from_json(json.dumps(obj))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -290,4 +292,17 @@ def test_grid_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\0" * 32)
     with pytest.raises(ValueError):
+        tw.read_grid(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:6],
+    lambda raw: raw[:-8],
+    lambda raw: raw[:4] + struct.pack("<IdI", 2 ** 32 - 1, L, 2 ** 32 - 1) + raw[20:],
+], ids=["short-header", "short-payload", "huge-header"])
+def test_grid_file_with_a_bad_size_rejected(tmp_path, corrupt):
+    path = tmp_path / "grid.twc"
+    tw.write_grid(path, tw.hermite_wong_eval(((0,), (0,)), L, 64))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match="grid (header|payload)"):
         tw.read_grid(path)
