@@ -103,6 +103,10 @@ def cmd_compose(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.input:
+        if args.element_flags:
+            print(f"verify: --in reads the element from its file and takes no "
+                  f"{', '.join(args.element_flags)}", file=sys.stderr)
+            return 2
         with open(args.input) as fh:
             C = wong_from_json(fh.read())
         config = {"d": C.d, "n_max": C.n_max, **_config_dict(args, ["N_max", "seed", "tol"])}
@@ -178,6 +182,14 @@ def cmd_tables(args) -> int:
     return 0
 
 
+class _ElementFlag(argparse.Action):
+    """Store the value and note the flag in ``element_flags``, which verify --in refuses."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.element_flags = [*namespace.element_flags, self.option_strings[0]]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="twcalc", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
@@ -185,13 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     # what a planted element is drawn from; verify --in reads only --N-max and --seed
     planted = argparse.ArgumentParser(add_help=False)
-    planted.add_argument("--d", type=int, default=1, choices=(1, 2))
-    planted.add_argument("--n-max", dest="n_max", type=int, default=48)
+    planted.set_defaults(element_flags=())
+    planted.add_argument("--d", action=_ElementFlag, type=int, default=1, choices=(1, 2))
+    planted.add_argument("--n-max", dest="n_max", action=_ElementFlag, type=int, default=48)
     planted.add_argument("--N-max", dest="N_max", type=int, default=40)
     planted.add_argument("--seed", type=int, default=0)
-    planted.add_argument("--planted-s", dest="planted_s", type=float, default=0.5)
-    planted.add_argument("--planted-r", dest="planted_r", type=float, default=None)
-    planted.add_argument("--rank", type=int, default=3)
+    planted.add_argument("--planted-s", dest="planted_s", action=_ElementFlag, type=float, default=0.5)
+    planted.add_argument("--planted-r", dest="planted_r", action=_ElementFlag, type=float, default=None)
+    planted.add_argument("--rank", action=_ElementFlag, type=int, default=3)
 
     g = sub.add_parser("gen", parents=[planted],
                        help="generate a random positive element with planted decay")

@@ -16,9 +16,10 @@ Everything involving (N!)^{4s} stays in the log domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gammaln, logsumexp
 
 from .algebra import WongCoeffMatrix, twisted_apply
@@ -26,14 +27,32 @@ from .hermite import index_totals, oscillator_eigenvalues
 from .phase_space import GridFunction, require_same_grid
 
 PSD_TOL = 1e-10
+# power iterations behind the Rayleigh-quotient lower bound on ||Hpart||_2
+_POWER_STEPS = 8
 
 
 @dataclass
 class PositivityResult:
+    """Outcome of is_positive_twisted.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part.
+    When a shifted Cholesky factorization decided the matrix is PSD it is
+    computed by ``eigvalsh`` on first read, from a reference to the
+    caller's entries (not a copy).
+    """
+
     is_positive: bool
-    min_eigenvalue: float
+    _min_eigenvalue: float | None
     hermitian_defect: float
     witness: np.ndarray | None = None
+    _entries: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def min_eigenvalue(self) -> float:
+        if self._min_eigenvalue is None:
+            self._min_eigenvalue = float(np.linalg.eigvalsh(_hermitian_part(self._entries))[0])
+            self._entries = None
+        return self._min_eigenvalue
 
     def __bool__(self):
         return self.is_positive
@@ -67,7 +86,9 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
     truncation.  Checks Hermitian symmetry to tol * ||C|| and the minimum
     eigenvalue against -tol * ||C||; a failing matrix yields an eigenvector
     witness from which a grid test function with negative pairing can be
-    synthesized (see witness_function).
+    synthesized (see witness_function).  A Cholesky factorization of the
+    shifted Hermitian part decides the PSD case; only a matrix it does not
+    clear pays for the eigendecomposition.
     """
     A = C.entries
     if A.shape[0] != A.shape[1]:
@@ -75,7 +96,9 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
     if not A.any():
         return PositivityResult(True, 0.0, 0.0)
     herm_defect = float(np.linalg.norm(A - A.conj().T) / np.linalg.norm(A))
-    Hpart = 0.5 * (A + A.conj().T)
+    if herm_defect <= tol and _shifted_cholesky_succeeds(_hermitian_part(A), tol):
+        return PositivityResult(True, None, herm_defect, _entries=A)
+    Hpart = _hermitian_part(A)
     w, V = np.linalg.eigh(Hpart)
     lo = float(w[0])
     # ||Hpart||_2 stands in for ||C||_2: it is only read once herm_defect <= tol,
@@ -84,6 +107,38 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
     if herm_defect > tol or lo < -tol * scale:
         return PositivityResult(False, lo, herm_defect, V[:, 0])
     return PositivityResult(True, lo, herm_defect)
+
+
+def _hermitian_part(A: np.ndarray) -> np.ndarray:
+    return 0.5 * (A + A.conj().T)
+
+
+def _shifted_cholesky_succeeds(H: np.ndarray, tol: float) -> bool:
+    """Whether H + tol * s I has a Cholesky factor, s a lower bound on ||H||_2.
+
+    s is the Rayleigh quotient |x* H x| of a unit vector after a fixed number
+    of power iterations, so s <= ||H||_2 and success implies the eigh rule
+    min eig(H) >= -tol * ||H||_2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10).  Failure decides nothing.  Overwrites H.
+    """
+    x = np.abs(np.diagonal(H)) + 1.0
+    x = x / np.linalg.norm(x)
+    for _ in range(_POWER_STEPS):
+        y = H @ x
+        norm = np.linalg.norm(y)
+        if not 0.0 < norm < np.inf:
+            return False
+        x = y / norm
+    s_lo = abs(np.vdot(x, H @ x))
+    if not 0.0 < s_lo < np.inf:
+        return False
+    H[np.diag_indices_from(H)] += tol * s_lo
+    try:
+        # H.T is conj(H), Fortran-ordered, so LAPACK factors it in place
+        scipy.linalg.cholesky(H.T, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def witness_function(C: WongCoeffMatrix, witness: np.ndarray,
@@ -164,17 +219,24 @@ def t_sigma_origin_log(C: WongCoeffMatrix, N: int):
     """
     if N < 0:
         raise ValueError("power must be >= 0")
+    signs, logs = _origin_logs(C, np.array([N]))
+    return float(signs[0]), float(logs[0])
+
+
+def _origin_logs(C: WongCoeffMatrix, powers: np.ndarray):
+    """(signs, log|values|) of (T^N a)(0,0) for each N in powers, in one logsumexp.
+
+    Row N holds log|c_aa| + 2N log lam_a over the nonzero diagonal; a zero
+    diagonal gives sign 0 and log -inf for every N.
+    """
     lam = oscillator_eigenvalues(C.d, C.n_max)
     diag = np.real(np.diag(C.entries))
-    base = 0.5 * C.d * np.log(2.0 / np.pi)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(diag)) + 2.0 * N * np.log(lam)
-    signs = np.sign(diag)
-    keep = np.isfinite(logs)
+    keep = diag != 0
     if not np.any(keep):
-        return 0.0, -np.inf
-    total, sign = logsumexp(logs[keep], b=signs[keep], return_sign=True)
-    return float(sign), float(base + total)
+        return np.zeros(len(powers)), np.full(len(powers), -np.inf)
+    logs = np.log(np.abs(diag[keep]))[None, :] + (2.0 * powers)[:, None] * np.log(lam[keep])[None, :]
+    total, sign = logsumexp(logs, b=np.sign(diag[keep]), axis=1, return_sign=True)
+    return sign, 0.5 * C.d * np.log(2.0 / np.pi) + total
 
 
 def t_sigma_origin(C: WongCoeffMatrix, N: int) -> float:
@@ -210,21 +272,22 @@ def trace_identity_check(vectors: np.ndarray, N: int, d: int = 1, n_max: int | N
 
 
 def _envelope_points(weights: np.ndarray, mags: np.ndarray):
-    """Per-dyadic-shell envelope maxima: (log weight, log(-log |c|))."""
-    pts = []
-    wmax = weights.max() if weights.size else 0
-    j = 0
-    while 2 ** j <= wmax:
-        lo, hi = 2 ** j, 2 ** (j + 1)
-        mask = (weights >= lo) & (weights < hi)
-        if np.any(mask):
-            sub = np.where(mask, mags, -np.inf)
-            at = int(np.argmax(sub))
-            c = mags[at]
-            if 0.0 < c < 1.0:
-                pts.append((np.log(weights[at]), np.log(-np.log(c))))
-        j += 1
-    return pts
+    """Per-dyadic-shell envelope maxima: arrays (log weight, log(-log |c|)).
+
+    Shell j holds 2^j <= w < 2^(j+1) and is read exactly off the binary
+    exponent; it is bin j + 1 here, and bin 0 collects the weights below 1,
+    which belong to no shell.  A tie for a shell's maximum goes to the first
+    entry.
+    """
+    bins = np.maximum(np.frexp(weights)[1], 0)
+    gmax = np.full(bins.max(initial=0) + 1, -np.inf)
+    np.maximum.at(gmax, bins, mags)
+    hits = np.flatnonzero(mags == gmax[bins])
+    found, first = np.unique(bins[hits], return_index=True)
+    at = hits[first[found > 0]]
+    c = mags[at]
+    ok = (0.0 < c) & (c < 1.0)
+    return np.log(weights[at][ok]), np.log(-np.log(c[ok]))
 
 
 def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
@@ -241,24 +304,25 @@ def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
     totals = index_totals(C.d, C.n_max).astype(float)
     japp = np.sqrt(1.0 + totals ** 2)
     mags = np.abs(C.entries)
-    usable = (mags > 1e-300) & ((totals[:, None] + totals[None, :]) >= 1)
+    sum_w = totals[:, None] + totals[None, :]
+    usable = (mags > 1e-300) & (sum_w >= 1)
     n_usable = int(np.count_nonzero(usable))
+    # an unusable entry counts as 0, which no shell holding a usable entry
+    # picks and no envelope point keeps
+    mags = np.where(usable, mags, 0.0).ravel()
 
     def run(weights):
-        pts = _envelope_points(weights[usable], mags[usable])
-        if len(pts) < 3:
+        X, Y = _envelope_points(weights.ravel(), mags)
+        if X.size < 3:
             return None
-        X = np.array([p[0] for p in pts])
-        Y = np.array([p[1] for p in pts])
         A = np.stack([np.ones_like(X), X], axis=1)
         coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
         rms = float(np.sqrt(np.mean((A @ coef - Y) ** 2)))
-        return coef, rms, len(pts)
+        return coef, rms, X.size
 
     if n_usable < 12:
         return DecayFit(0.0, 0.0, "indeterminate", 0.0, n_usable,
                         note="fewer than 12 usable coefficients")
-    sum_w = totals[:, None] + totals[None, :]
     prod_w = japp[:, None] * japp[None, :]
     fit_sum = run(sum_w)
     fit_prod = run(prod_w)
@@ -295,11 +359,9 @@ def growth_sequence(C: WongCoeffMatrix, n_powers: int) -> GrowthSequence:
     """
     if n_powers < 4:
         raise ValueError("need n_powers >= 4 to fit")
-    logs = np.empty(n_powers + 1)
-    for N in range(n_powers + 1):
-        sign, lg = t_sigma_origin_log(C, N)
-        logs[N] = lg if sign > 0 else (-np.inf if sign == 0 else np.nan)
     Ns = np.arange(n_powers + 1, dtype=float)
+    signs, logs = _origin_logs(C, Ns)
+    logs = np.where(signs > 0, logs, np.where(signs == 0, -np.inf, np.nan))
     keep = np.isfinite(logs)
     if np.count_nonzero(keep) < 4:
         return GrowthSequence(logs, -np.inf, 0.0, 0.0, int(np.count_nonzero(keep)))

@@ -164,16 +164,38 @@ def test_tables_rerun_is_byte_identical(tmp_path):
 
 
 def test_verify_reads_planted_r_as_gen_does(tmp_path):
-    flags = ["--n-max", 12, "--N-max", 12, "--seed", 9, "--planted-r", 0.7]
+    element, flags = ["--n-max", 12, "--planted-r", 0.7], ["--N-max", 12, "--seed", 9]
     src = tmp_path / "C.json"
-    assert run(["gen", *flags, "--out", src]) == 0
+    assert run(["gen", *element, *flags, "--out", src]) == 0
     rows = {}
-    for name, argv in (("in", ["--in", src]), ("planted", [])):
+    for name, argv in (("in", ["--in", src]), ("planted", element)):
         out = tmp_path / f"{name}.json"
         assert run(["verify", *flags, *argv, "--out", out]) in (0, 1)
         rows[name] = (tmp_path / f"{name}_growth.csv").read_text().splitlines()[1:]
     assert rows["in"] == rows["planted"]
     assert json.loads((tmp_path / "planted.json").read_text())["config"]["planted_r"] == 0.7
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--d", 1), ("--d", 2), ("--n-max", 48), ("--n-max", 4), ("--planted-s", 0.5), ("--planted-s", 0.3),
+    ("--planted-r", 5), ("--rank", 3), ("--rank", 9),
+])
+def test_verify_input_refuses_the_element_flags(tmp_path, monkeypatch, capsys, flag, value):
+    # these describe a planted element; the default values count as given too
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--n-max", 4, "--out", "C.json"]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--in", "C.json", flag, value, "--out", "r.json"]) == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["C.json"]
+
+
+def test_verify_input_takes_n_max_seed_and_tol(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--n-max", 4, "--out", "C.json"]) == 0
+    assert run(["verify", "--in", "C.json", "--N-max", 8, "--seed", 3, "--tol", 0.2,
+                "--out", "r.json"]) in (0, 1)
+    assert json.loads((tmp_path / "r.json").read_text())["config"]["tol"] == 0.2
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 import twcalc as tw
+from twcalc.hermite import index_totals, oscillator_eigenvalues
 from twcalc.regularity import (
+    PSD_TOL,
+    _envelope_points,
     default_planted_rate,
     verify_matrix_report,
 )
@@ -46,6 +52,57 @@ def test_psd_decision_at_the_threshold():
     # [[1, e], [0, 1]] has Hermitian defect e and eigenvalues 1 +- e/2
     assert positive(np.array([[1.0, 0.5e-10], [0.0, 1.0]]))
     assert not positive(np.array([[1.0, 1.5e-10], [0.0, 1.0]]))
+
+
+def random_unitary(rng, side):
+    Q, R = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+    return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
+
+
+def eigh_rule(C, tol=PSD_TOL):
+    """The PSD rule, applied in full: defect <= tol and min eig >= -tol ||Hpart||_2."""
+    A = C.entries
+    w = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
+    defect = np.linalg.norm(A - A.conj().T) / np.linalg.norm(A)
+    return bool(defect <= tol and w[0] >= -tol * max(-w[0], w[-1]))
+
+
+# lam_min = factor * tol * max|lam|: each case sits at least a factor 2 from the threshold
+@settings(max_examples=80, deadline=None)
+@given(side=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1),
+       factor=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 4.0, -4.0]), log_scale=st.floats(-6.0, 6.0))
+def test_psd_decision_matches_the_eigh_rule_near_the_threshold(side, seed, factor, log_scale):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    lam = scale * rng.uniform(0.1, 1.0, size=side)
+    lam[0], lam[-1] = scale, factor * PSD_TOL * scale
+    U = random_unitary(rng, side)
+    C = tw.WongCoeffMatrix(1, side - 1, (U * lam) @ U.conj().T)
+    decision = tw.is_positive_twisted(C).is_positive
+    assert decision == eigh_rule(C) == (factor >= -1.0)
+    V = random_unitary(rng, side)
+    turned = tw.WongCoeffMatrix(1, side - 1, V @ C.entries @ V.conj().T)
+    assert tw.is_positive_twisted(turned).is_positive == decision
+
+
+def test_positive_decision_runs_no_eigh(monkeypatch):
+    C, _ = tw.random_positive_element(3, 0.5, default_planted_rate(0.5, 8, 40), seed=3, d=2, n_max=8)
+    want = float(np.linalg.eigvalsh(0.5 * (C.entries + C.entries.conj().T))[0])
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(M):
+        calls.append(M.shape)
+        return eigvalsh(M)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on a PSD input")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    res = tw.is_positive_twisted(C)
+    assert res.is_positive and calls == []
+    assert res.min_eigenvalue == want and res.min_eigenvalue == want
+    assert calls == [C.entries.shape]
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -181,6 +238,72 @@ def test_trace_identity_random_ranks(rng):
         for N in (0, 2, 6):
             lhs, rhs, gap = tw.trace_identity_check(V, N, d=1, n_max=8)
             assert gap <= 1e-12
+
+
+# --- one-pass rewrites pinned to the loops they replaced ---
+
+def growth_by_power(C, n_powers):
+    """log (T^N a)(0,0) for N = 0..n_powers, one logsumexp per N."""
+    lam = oscillator_eigenvalues(C.d, C.n_max)
+    diag = np.real(np.diag(C.entries))
+    base = 0.5 * C.d * np.log(2.0 / np.pi)
+    logs = np.empty(n_powers + 1)
+    for N in range(n_powers + 1):
+        with np.errstate(divide="ignore"):
+            terms = np.log(np.abs(diag)) + 2.0 * N * np.log(lam)
+        keep = np.isfinite(terms)
+        if not np.any(keep):
+            logs[N] = -np.inf
+            continue
+        total, sign = logsumexp(terms[keep], b=np.sign(diag)[keep], return_sign=True)
+        logs[N] = float(base + total) if sign > 0 else (-np.inf if sign == 0 else np.nan)
+    return logs
+
+
+def envelope_by_shell(weights, mags):
+    """Per-dyadic-shell maxima, one masked scan of every entry per shell."""
+    X, Y = [], []
+    j = 0
+    while weights.size and 2 ** j <= weights.max():
+        mask = (weights >= 2 ** j) & (weights < 2 ** (j + 1))
+        if np.any(mask):
+            at = int(np.argmax(np.where(mask, mags, -np.inf)))
+            if 0.0 < mags[at] < 1.0:
+                X.append(np.log(weights[at]))
+                Y.append(np.log(-np.log(mags[at])))
+        j += 1
+    return np.array(X), np.array(Y)
+
+
+@pytest.mark.parametrize("holes", [0.0, 0.5], ids=["dense", "half-zeroed"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("d, n_max", [(1, 48), (2, 16)], ids=["d1", "d2"])
+def test_one_pass_growth_and_envelope_equal_the_loops_bitwise(d, n_max, s, holes):
+    C, _ = tw.random_positive_element(3, s, default_planted_rate(s, n_max, 40), seed=5, d=d, n_max=n_max)
+    zeroed = np.random.default_rng(5).random(C.entries.shape) < holes
+    C = tw.WongCoeffMatrix(d, n_max, np.where(zeroed, 0.0, C.entries))
+    np.testing.assert_array_equal(tw.growth_sequence(C, 40).values_log, growth_by_power(C, 40))
+    totals = index_totals(d, n_max).astype(float)
+    japp = np.sqrt(1.0 + totals ** 2)
+    mags = np.abs(C.entries)
+    usable = (mags > 1e-300) & (totals[:, None] + totals[None, :] >= 1)
+    for weights in (totals[:, None] + totals[None, :], japp[:, None] * japp[None, :]):
+        # as classify_decay calls it: every entry, the unusable ones as magnitude 0
+        got = _envelope_points(weights.ravel(), np.where(usable, mags, 0.0).ravel())
+        want = envelope_by_shell(weights[usable], mags[usable])
+        assert len(got[0]) >= 3
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_envelope_tie_goes_to_the_first_entry():
+    # weights 3 and 2 share shell [2, 4) with equal magnitudes: the first entry, weight 3, wins
+    weights, mags = np.array([1.0, 3.0, 2.0, 5.0, 0.5]), np.array([0.5, 0.1, 0.1, 0.2, 0.9])
+    X, Y = _envelope_points(weights, mags)
+    np.testing.assert_array_equal(X, np.log([1.0, 3.0, 5.0]))
+    np.testing.assert_array_equal(Y, np.log(-np.log([0.5, 0.1, 0.2])))
+    for g, w in zip((X, Y), envelope_by_shell(weights, mags)):
+        np.testing.assert_array_equal(g, w)
 
 
 # --- decay classification ---
