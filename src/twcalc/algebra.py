@@ -9,13 +9,20 @@ never raises indices, so products at a fixed cutoff are exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationError
-from .hermite import _coeff_rows, _coeff_tensor, hermite_batch, index_totals, multi_indices
+from .hermite import (
+    _ROWS,
+    _coeff_rows_json,
+    _coeff_tensor,
+    _json_object,
+    hermite_batch,
+    index_totals,
+    multi_indices,
+)
 from .phase_space import (
     DEFAULT_BOX,
     GridFunction,
@@ -273,11 +280,8 @@ def weyl_product(Ca: WongCoeffMatrix, Cb: WongCoeffMatrix) -> WongCoeffMatrix:
 
 def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
     """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}, zeros omitted."""
-    obj = {"d": C.d, "n_max": C.n_max,
-           "entries": _coeff_rows(C.entries.reshape((C.n_max + 1,) * (2 * C.d)))}
-    if meta:
-        obj.update(meta)
-    return json.dumps(obj, sort_keys=True)
+    rows = _coeff_rows_json(C.entries.reshape((C.n_max + 1,) * (2 * C.d)))
+    return _json_object({"d": C.d, "n_max": C.n_max, "entries": _ROWS, **(meta or {})}, rows, sort_keys=True)
 
 
 def wong_from_json(text: str) -> WongCoeffMatrix:

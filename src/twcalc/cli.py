@@ -66,9 +66,9 @@ def cmd_gen(args) -> int:
         config["planted_r"] = planted_r
     C, vectors = random_positive_element(
         args.rank, args.planted_s, planted_r, args.seed, args.d, args.n_max, args.flavor)
-    meta = {"config": config, "version": __version__}
+    text = wong_to_json(C, {"config": config, "version": __version__})
     with open(args.out, "w") as fh:
-        fh.write(wong_to_json(C, meta))
+        fh.write(text)
         fh.write("\n")
     if args.vectors_out:
         entries = []
@@ -94,9 +94,9 @@ def cmd_compose(args) -> int:
     except ValueError as exc:
         print(f"compose: {exc}", file=sys.stderr)
         return 2
-    meta = {"config": {"inputs": list(args.inputs)}, "version": __version__}
+    text = wong_to_json(out, {"config": {"inputs": list(args.inputs)}, "version": __version__})
     with open(args.out, "w") as fh:
-        fh.write(wong_to_json(out, meta))
+        fh.write(text)
         fh.write("\n")
     return 0
 

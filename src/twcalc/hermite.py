@@ -220,15 +220,64 @@ def synthesize_hermite(f: HermiteCoeffVector, box_half_width: float, points_per_
     return GridFunction(f.d, box_half_width, points_per_axis, values)
 
 
-def _coeff_rows(T: np.ndarray) -> list[tuple]:
-    """Nonzero entries of T as (index..., re, im) rows in C order.
+# bytes of the longest repr of a finite double's magnitude: 2.2250738585072014e-308
+_MAGNITUDE_WIDTH = 23
+_ROW_BLOCK = 65536                 # rows per byte buffer and magnitudes per repr batch
+_SIGN_BIT = np.uint64(1 << 63)
+_ROWS = object()                   # marks where _json_object splices the rows text
 
-    Indices are Python ints and parts Python floats, so json.dumps writes
-    integers and shortest round-trip floats.  Zero entries are omitted.
+
+def _coeff_rows_json(T: np.ndarray) -> list[str]:
+    """Pieces of the JSON text of the nonzero entries of T as [index..., re, im] rows.
+
+    Rows run in C order.  Joined, the pieces are byte for byte json.dumps of
+    the rows with Python int indices and float parts.  float.__repr__ runs
+    once per distinct magnitude; a sign is a "-" byte in front of it, since
+    repr(-x) == "-" + repr(x) for every finite double.  Each row is a
+    fixed-width byte record whose NUL padding is dropped.  Zero entries are
+    omitted; a non-finite entry raises ValueError before anything is
+    formatted.
     """
     nz = np.nonzero(T)
     v = T[nz]
-    return list(zip(*(i.tolist() for i in nz), v.real.tolist(), v.imag.tolist()))
+    if not np.isfinite(v).all():
+        raise ValueError("coefficients must be finite to be written as JSON")
+    if v.size == 0:
+        return ["[]"]
+    parts = np.stack([v.real, v.imag], axis=1)
+    bits = parts.view(np.uint64)
+    negative = (bits & _SIGN_BIT).astype(bool)
+    uniq, inverse = np.unique((bits & ~_SIGN_BIT).ravel(), return_inverse=True)
+    inverse = inverse.reshape(parts.shape)      # explicit: numpy 1.x and 2.x disagree on its shape
+    mags = uniq.view(np.float64)
+    table = np.empty(uniq.size, dtype=f"S{_MAGNITUDE_WIDTH}")
+    for start in range(0, uniq.size, _ROW_BLOCK):
+        table[start:start + _ROW_BLOCK] = list(map(float.__repr__, mags[start:start + _ROW_BLOCK].tolist()))
+    table = table.view(np.uint8).reshape(uniq.size, _MAGNITUDE_WIDTH)
+    top = max(T.shape) - 1
+    tokens = np.array([f"{i}, " for i in range(top + 1)], dtype=f"S{len(str(top)) + 2}")
+    tokens = tokens.view(np.uint8).reshape(top + 1, -1)
+
+    # "[" index tokens, then sign byte, magnitude and separator for re and im
+    width = 1 + len(nz) * tokens.shape[1] + 2 * (1 + _MAGNITUDE_WIDTH) + len(", ") + len("], ")
+    chunks = []
+    for start in range(0, v.size, _ROW_BLOCK):
+        at = slice(start, start + _ROW_BLOCK)
+        buf = np.zeros((min(_ROW_BLOCK, v.size - start), width), dtype=np.uint8)
+        buf[:, 0] = ord("[")
+        col = 1
+        for axis in nz:
+            buf[:, col:col + tokens.shape[1]] = np.take(tokens, axis[at], axis=0)
+            col += tokens.shape[1]
+        for part, sep in ((0, b", "), (1, b"], ")):
+            buf[:, col] = negative[at, part] * ord("-")
+            buf[:, col + 1:col + 1 + _MAGNITUDE_WIDTH] = np.take(table, inverse[at, part], axis=0)
+            col += 1 + _MAGNITUDE_WIDTH
+            buf[:, col:col + len(sep)] = np.frombuffer(sep, np.uint8)
+            col += len(sep)
+        chunks.append(buf[buf != 0].tobytes().decode("ascii"))     # NUL padding dropped
+    chunks[-1] = chunks[-1][:-2]
+    return ["[", *chunks, "]"]
 
 
 def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]:
@@ -271,9 +320,24 @@ def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]
     return d, n_max, T
 
 
+def _json_object(obj: dict, rows: list[str], sort_keys: bool = False) -> str:
+    """json.dumps(obj, sort_keys=sort_keys), the value _ROWS written as the joined rows pieces.
+
+    The output is built by one join, so the rows text is copied only once.
+    """
+    items = sorted(obj.items()) if sort_keys else obj.items()
+    pieces = []
+    for key, value in items:
+        if value is _ROWS:
+            pieces += [", ", json.dumps(key), ": ", *rows]
+        else:
+            pieces += [", ", json.dumps({key: value}, sort_keys=sort_keys)[1:-1]]
+    return "".join(["{", *pieces[1:], "}"])
+
+
 def coeff_vector_to_json(f: HermiteCoeffVector) -> str:
     """JSON form {"d", "n_max", "coeffs": [[index..., re, im], ...]}, zeros omitted."""
-    return json.dumps({"d": f.d, "n_max": f.n_max, "coeffs": _coeff_rows(f.coeffs)})
+    return _json_object({"d": f.d, "n_max": f.n_max, "coeffs": _ROWS}, _coeff_rows_json(f.coeffs))
 
 
 def coeff_vector_from_json(text: str) -> HermiteCoeffVector:

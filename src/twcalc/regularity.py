@@ -95,10 +95,11 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
         raise ValueError("coefficient matrix must be square")
     if not A.any():
         return PositivityResult(True, 0.0, 0.0)
-    herm_defect = float(np.linalg.norm(A - A.conj().T) / np.linalg.norm(A))
-    if herm_defect <= tol and _shifted_cholesky_succeeds(_hermitian_part(A), tol):
+    AH = A.conj().T                 # formed once; _hermitian_part(A) is 0.5 * (A + AH)
+    herm_defect = float(np.linalg.norm(A - AH) / np.linalg.norm(A))
+    if herm_defect <= tol and _shifted_cholesky_succeeds(0.5 * (A + AH), tol):
         return PositivityResult(True, None, herm_defect, _entries=A)
-    Hpart = _hermitian_part(A)
+    Hpart = 0.5 * (A + AH)          # the Cholesky overwrote its copy
     w, V = np.linalg.eigh(Hpart)
     lo = float(w[0])
     # ||Hpart||_2 stands in for ||C||_2: it is only read once herm_defect <= tol,
