@@ -195,15 +195,13 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     if B.shape[-2:] != (n, n):
         raise ValueError(f"slices of shape {B.shape[-2:]} do not match the ({n}, {n}) grid")
     check_boundary(a, strict, what="twisted convolution factor")
-    from scipy.fft import fft, ifft, next_fast_len   # ~40 ms to import; grid oracles only
-
     h = (n - 1) // 2
     # only outputs h..3h of each length-(2n-1) linear convolution are kept, so
     # circular wrap-around is harmless from nfft > 3h on
-    nfft = next_fast_len(3 * h + 1)
+    nfft = _next_fast_len(3 * h + 1)
     E = _dft_kernel(a.box_half_width, n)
     Bs = B.reshape(-1, n, n)
-    Bh = fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)        # [f, m, s]
+    Bh = np.fft.fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)  # [f, m, s]
     # a[p, q] e^{-2i x_p x_q} at row p + h between h zero rows on each side,
     # so row i + 2h - m holds p = i + h - m, or zeros where p is off the grid
     ap = np.zeros((2 * n - 1, n), dtype=complex)
@@ -215,11 +213,24 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
         i = slice(i0, i0 + blk)
         T = ap[rows[i, None] + 2 * h - rows]                                # [i, m, q]
         T *= np.conj(E[i, None]) ** 2
-        Th = fft(T, nfft, axis=-1).transpose(2, 0, 1)                       # [f, i, m]
-        conv = ifft(Th @ Bh, axis=0, overwrite_x=True)[h:h + n]            # [k, i, s]
+        Th = np.fft.fft(T, nfft, axis=-1).transpose(2, 0, 1)                # [f, i, m]
+        conv = np.fft.ifft(Th @ Bh, axis=0)[h:h + n]                        # [k, i, s]
         out[:, i] = conv.transpose(2, 1, 0) * E[i]
     out *= (2.0 / np.pi) ** 0.5 * a.spacing ** 2
     return out.reshape(B.shape)
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth length >= target, as scipy.fft.next_fast_len picks for complex FFTs."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def twisted_left_matrix(a: GridFunction, strict: bool = True) -> np.ndarray:

@@ -241,6 +241,10 @@ def main(argv=None) -> int:
     except (OSError, TwcError, ValueError) as exc:
         print(f"twcalc: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # an input whose declared size cannot be allocated is an input error, not a failed check
+        print(f"twcalc: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

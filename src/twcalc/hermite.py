@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ResolutionError
 
@@ -107,6 +106,8 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     """
     if not 1 <= n <= MAX_QUADRATURE_POINTS:
         raise ValueError(f"node count must be in [1, {MAX_QUADRATURE_POINTS}], got {n}")
+    from scipy.linalg import eigh_tridiagonal   # the package's only scipy import
+
     if n == 1:
         nodes = np.zeros(1)
         weights = np.array([np.sqrt(np.pi)])

@@ -16,17 +16,21 @@ Everything involving (N!)^{4s} stays in the log domain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, logsumexp
 
 from .algebra import WongCoeffMatrix, twisted_apply
 from .hermite import index_totals, oscillator_eigenvalues
 from .phase_space import GridFunction, require_same_grid
 
 PSD_TOL = 1e-10
+# Largest Frobenius norm is_positive_twisted accepts.  Above about 1e154 the
+# norms overflow and the Hermitian defect reads nan or 0; above about 7e145
+# LAPACK's zheevd rescales the matrix, and with eigenvectors that path has
+# corrupted the heap (numpy 2.4's OpenBLAS 0.3.31).
+_MAX_NORM = 2.0 ** 480
 # power iterations behind the Rayleigh-quotient lower bound on ||Hpart||_2
 _POWER_STEPS = 8
 
@@ -88,19 +92,25 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
     witness from which a grid test function with negative pairing can be
     synthesized (see witness_function).  A Cholesky factorization of the
     shifted Hermitian part decides the PSD case; only a matrix it does not
-    clear pays for the eigendecomposition.
+    clear pays for the eigendecomposition.  A matrix whose Frobenius norm is
+    not below 2^480 (about 3e144) raises ValueError.
     """
     A = C.entries
     if A.shape[0] != A.shape[1]:
         raise ValueError("coefficient matrix must be square")
     if not A.any():
         return PositivityResult(True, 0.0, 0.0)
-    AH = A.conj().T                 # formed once; _hermitian_part(A) is 0.5 * (A + AH)
-    herm_defect = float(np.linalg.norm(A - AH) / np.linalg.norm(A))
-    if herm_defect <= tol and _shifted_cholesky_succeeds(0.5 * (A + AH), tol):
+    with np.errstate(over="ignore"):       # an overflow reads inf and is refused
+        norm = np.linalg.norm(A)
+    if not norm < _MAX_NORM:
+        raise ValueError(f"coefficient matrix norm {norm:.3g} is not below 2^480")
+    H = np.conj(A.T, order="C")     # A^H; the Hermitian part once A is added
+    herm_defect = float(np.linalg.norm(A - H) / norm)
+    H += A
+    H *= 0.5
+    if herm_defect <= tol and _shifted_cholesky_succeeds(H, tol):
         return PositivityResult(True, None, herm_defect, _entries=A)
-    Hpart = 0.5 * (A + AH)          # the Cholesky overwrote its copy
-    w, V = np.linalg.eigh(Hpart)
+    w, V = np.linalg.eigh(H)
     lo = float(w[0])
     # ||Hpart||_2 stands in for ||C||_2: it is only read once herm_defect <= tol,
     # and then the two differ by at most tol * ||C||_F / 2
@@ -111,7 +121,11 @@ def is_positive_twisted(C: WongCoeffMatrix, tol: float = PSD_TOL) -> PositivityR
 
 
 def _hermitian_part(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.conj().T)
+    """0.5 * (A + A^H), built in one buffer."""
+    H = np.conj(A.T, order="C")
+    H += A
+    H *= 0.5
+    return H
 
 
 def _shifted_cholesky_succeeds(H: np.ndarray, tol: float) -> bool:
@@ -120,7 +134,8 @@ def _shifted_cholesky_succeeds(H: np.ndarray, tol: float) -> bool:
     s is the Rayleigh quotient |x* H x| of a unit vector after a fixed number
     of power iterations, so s <= ||H||_2 and success implies the eigh rule
     min eig(H) >= -tol * ||H||_2 (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 10).  Failure decides nothing.  Overwrites H.
+    Algorithms, 2nd ed., ch. 10).  Failure decides nothing.  H is left as
+    it came: the shifted diagonal is put back after the factorization.
     """
     x = np.abs(np.diagonal(H)) + 1.0
     x = x / np.linalg.norm(x)
@@ -133,12 +148,16 @@ def _shifted_cholesky_succeeds(H: np.ndarray, tol: float) -> bool:
     s_lo = abs(np.vdot(x, H @ x))
     if not 0.0 < s_lo < np.inf:
         return False
-    H[np.diag_indices_from(H)] += tol * s_lo
+    diag = np.diagonal(H).copy()
+    np.fill_diagonal(H, diag + tol * s_lo)
     try:
-        # H.T is conj(H), Fortran-ordered, so LAPACK factors it in place
-        scipy.linalg.cholesky(H.T, overwrite_a=True, check_finite=False)
+        # zpotrf('U') on H.T = conj(H), the call scipy.linalg.cholesky(H.T) makes,
+        # so factor and decision match scipy's bit for bit
+        np.linalg.cholesky(H.T, upper=True)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        np.fill_diagonal(H, diag)
     return True
 
 
@@ -210,6 +229,77 @@ def random_positive_element(rank: int, planted_s: float, planted_r: float,
     return WongCoeffMatrix(d, n_max, C), vectors
 
 
+def _logsumexp(a, b=None, axis=None, return_sign=False):
+    """scipy.special.logsumexp for float64 input, in scipy 1.17's order of operations.
+
+    The largest term is split off and the rest summed relative to it
+    (Blanchard, Higham & Higham, "Accurately computing the log-sum-exp and
+    softmax functions", IMA J. Numer. Anal. 41(4), 2021); wherever that is
+    not finite, the direct log(sum(b exp a)) is returned instead.  Each step
+    is the numpy call scipy makes, so results agree bit for bit.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    if a.size == 0:
+        out = np.full(np.sum(a, axis=axes, keepdims=True).shape, -np.inf)
+        sgn = np.sign(out)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=axes, keepdims=True)
+            sgn_direct = np.sign(direct)
+            out_direct = np.log(np.abs(direct) if return_sign else direct)
+            if b is not None:
+                a = np.where(b == 0, -np.inf, a)
+            a_max = np.max(a, axis=axes, keepdims=True)
+            at_max = a == a_max
+            a = np.where(at_max, -np.inf, a)
+            weight = at_max.astype(float) if b is None else b * at_max.astype(float)
+            m = np.sum(weight, axis=axes, keepdims=True, dtype=float)
+            e = np.exp(a - a_max) if b is None else b * np.exp(a - a_max)
+            s = np.sum(e, axis=axes, keepdims=True, dtype=float)
+            s = np.where(s == 0, s, s / m)
+            sgn = np.sign(s + 1) * np.sign(m)
+            s = np.where(s < -1, -s - 2, s)
+            out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        if not return_sign:
+            out[sgn < 0] = np.nan
+        finite = np.isfinite(out)
+        out = np.where(finite, out, out_direct)
+        sgn = np.where(finite, sgn, sgn_direct)
+    out = np.squeeze(out, axis=axes)[()]
+    return (out, np.squeeze(sgn, axis=axes)[()]) if return_sign else out
+
+
+# cephes lgam: Stirling-series coefficients and log(sqrt(2 pi))
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _log_factorial(N: int) -> float:
+    """log N! as cephes lgam(N + 1), and so scipy.special.gammaln, computes it.
+
+    Below x = N + 1 = 13 lgam takes the log of the exact product N!; above,
+    Stirling's series.  Scalar math.log keeps every rounding of the C code.
+    """
+    x = N + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(N))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for c in _LGAM_A[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
 def t_sigma_origin_log(C: WongCoeffMatrix, N: int):
     """(sign, log|value|) of (T^N a)(0,0), exactly in coefficient space.
 
@@ -236,7 +326,7 @@ def _origin_logs(C: WongCoeffMatrix, powers: np.ndarray):
     if not np.any(keep):
         return np.zeros(len(powers)), np.full(len(powers), -np.inf)
     logs = np.log(np.abs(diag[keep]))[None, :] + (2.0 * powers)[:, None] * np.log(lam[keep])[None, :]
-    total, sign = logsumexp(logs, b=np.sign(diag[keep]), axis=1, return_sign=True)
+    total, sign = _logsumexp(logs, b=np.sign(diag[keep]), axis=1, return_sign=True)
     return sign, 0.5 * C.d * np.log(2.0 / np.pi) + total
 
 
@@ -264,7 +354,7 @@ def trace_identity_check(vectors: np.ndarray, N: int, d: int = 1, n_max: int | N
     lam = oscillator_eigenvalues(d, n_max)
     with np.errstate(divide="ignore"):
         terms = 2.0 * np.log(np.abs(vectors)) + 2.0 * N * np.log(lam)[None, :]
-    lhs = logsumexp(terms[np.isfinite(terms)])
+    lhs = _logsumexp(terms[np.isfinite(terms)])
     C = WongCoeffMatrix(d, n_max, np.einsum("ka,kb->ab", vectors, vectors.conj()))
     sign, rhs_log = t_sigma_origin_log(C, N)
     rhs = 0.5 * d * np.log(np.pi / 2.0) + rhs_log
@@ -366,7 +456,8 @@ def growth_sequence(C: WongCoeffMatrix, n_powers: int) -> GrowthSequence:
     keep = np.isfinite(logs)
     if np.count_nonzero(keep) < 4:
         return GrowthSequence(logs, -np.inf, 0.0, 0.0, int(np.count_nonzero(keep)))
-    A = np.stack([np.ones_like(Ns), 2 * Ns, 4 * gammaln(Ns + 1)], axis=1)[keep]
+    log_fact = np.array([_log_factorial(N) for N in range(n_powers + 1)])
+    A = np.stack([np.ones_like(Ns), 2 * Ns, 4 * log_fact], axis=1)[keep]
     y = logs[keep]
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     rms = float(np.sqrt(np.mean((A @ coef - y) ** 2)))

@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twcalc as tw
+from twcalc.algebra import _next_fast_len
 from twcalc.errors import TruncationError
 
 from conftest import l2_gap, sparse_coeffs
@@ -269,6 +271,21 @@ def test_grid_convolution_on_a_101_point_grid(wong_cache):
     b = wong_cache(((1,), (3,)), L, 101)
     out = tw.twisted_convolution_grid(a, b)
     assert l2_gap(out, wong_cache(((0,), (3,)), L, 101)) < 1e-5
+
+
+@pytest.mark.parametrize("n", [17, 21, 73, 85])
+def test_twisted_apply_equals_the_scipy_fft_route_bitwise(rng, n, monkeypatch):
+    a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
+    B = np.stack([_decaying(rng, L, n) for _ in range(2)])
+    got = tw.twisted_apply(a, B)
+    monkeypatch.setattr(np.fft, "fft", scipy.fft.fft)
+    monkeypatch.setattr(np.fft, "ifft", scipy.fft.ifft)
+    assert got.tobytes() == tw.twisted_apply(a, B).tobytes()
+
+
+def test_next_fast_len_equals_scipy():
+    assert [_next_fast_len(t) for t in range(1, 5001)] == \
+        [scipy.fft.next_fast_len(t) for t in range(1, 5001)]
 
 
 def test_twisted_apply_rejects_even_grid_and_d2():

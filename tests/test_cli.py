@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import twcalc as tw
 from twcalc.cli import main
@@ -116,6 +120,62 @@ def test_verify_malformed_input_exits_2(tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert run(["verify", "--in", bad, "--out", tmp_path / "r.json"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "compose"])
+def test_unallocatable_size_exits_2(tmp_path, capsys, command):
+    # 40 bytes that ask for a (5001^2)^2 complex matrix, 8.89 PiB
+    big = tmp_path / "big.json"
+    big.write_text('{"d": 2, "n_max": 5000, "entries": []}')
+    inputs = ["--in", big] if command == "verify" else ["--in", big, "--in", big]
+    assert run([command, *inputs, "--out", tmp_path / "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("twcalc: out of memory") and err.count("\n") == 1
+
+
+def test_verify_input_past_the_norm_bound_exits_2(tmp_path):
+    # parts of 4e153 once crashed LAPACK's eigensolver with a corrupted heap
+    path = tmp_path / "huge.json"
+    path.write_text('{"d": 1, "n_max": 2, "entries": [[0, 2, 1.0, 4e153], [2, 1, -3e153, -6e153]]}')
+    assert run(["verify", "--in", path, "--out", tmp_path / "r.json"]) == 2
+
+
+# JSON values of every type, integers in the index range most often
+_SCALAR = st.one_of(st.integers(-1, 6), st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+_DEFECTS = ["none", "value-of-a-key", "missing-key", "row", "row-item", "truncated"]
+
+
+@st.composite
+def malformed_coeff_files(draw):
+    """Small coefficient files (n_max <= 6), any float parts, and at most one defect."""
+    d, n_max = draw(st.sampled_from([1, 2])), draw(st.integers(0, 6))
+    row = st.tuples(*[st.integers(0, n_max)] * (2 * d), st.floats(), st.floats()).map(list)
+    rows = draw(st.lists(row, max_size=8))
+    obj = {"d": d, "n_max": n_max, "entries": rows}
+    defect = draw(st.sampled_from(_DEFECTS))
+    if defect == "value-of-a-key":
+        obj[draw(st.sampled_from(sorted(obj)))] = draw(_SCALAR)
+    elif defect == "missing-key":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif defect == "row" and rows:
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(_SCALAR, max_size=7))
+    elif defect == "row-item" and rows:
+        bad = rows[draw(st.integers(0, len(rows) - 1))]
+        bad[draw(st.integers(0, len(bad) - 1))] = draw(_SCALAR)
+    text = json.dumps(obj)
+    return text[:draw(st.integers(0, len(text) - 1))] if defect == "truncated" else text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=malformed_coeff_files())
+def test_fuzzed_coefficient_files_exit_0_1_or_2(text):
+    # an exception out of main is a traceback; every outcome must be an exit code.
+    # Parts near the float limits overflow on purpose, so their warnings are muted.
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+        path, out = Path(tmp) / "C.json", Path(tmp) / "out.json"
+        path.write_text(text)
+        assert run(["verify", "--in", path, "--out", out]) in (0, 1, 2)
+        assert run(["compose", "--in", path, "--in", path, "--out", out]) in (0, 2)
 
 
 @pytest.mark.parametrize("argv", [

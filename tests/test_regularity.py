@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln, logsumexp
 
 import twcalc as tw
 from twcalc.hermite import index_totals, oscillator_eigenvalues
 from twcalc.regularity import (
     PSD_TOL,
     _envelope_points,
+    _hermitian_part,
+    _log_factorial,
+    _logsumexp,
+    _shifted_cholesky_succeeds,
     default_planted_rate,
     verify_matrix_report,
 )
@@ -103,6 +109,62 @@ def test_positive_decision_runs_no_eigh(monkeypatch):
     assert res.is_positive and calls == []
     assert res.min_eigenvalue == want and res.min_eigenvalue == want
     assert calls == [C.entries.shape]
+
+
+def scipy_cholesky(a, upper=False):
+    """The factorization the PSD check made with scipy: LAPACK on a Fortran copy."""
+    return scipy.linalg.cholesky(np.array(a, order="F"), lower=not upper, overwrite_a=True,
+                                 check_finite=False)
+
+
+# lam_min = factor * tol * lam_max with factors across the shifted Cholesky's threshold
+@pytest.mark.parametrize("seed", range(12))
+def test_cholesky_decision_equals_the_scipy_decision(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    side = int(rng.integers(2, 60))
+    decisions = []
+    for factor in np.linspace(-1.3, -0.7, 13):
+        lam = rng.uniform(0.1, 1.0, size=side)
+        lam[0], lam[-1] = 1.0, factor * PSD_TOL
+        U = random_unitary(rng, side)
+        H = _hermitian_part((U * lam) @ U.conj().T)
+        ours = _shifted_cholesky_succeeds(H, PSD_TOL)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", scipy_cholesky)
+            theirs = _shifted_cholesky_succeeds(H, PSD_TOL)
+        assert ours == theirs
+        decisions.append(ours)
+    assert any(decisions) and not all(decisions)
+
+
+def test_cholesky_factor_equals_scipy_bitwise(rng):
+    V = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    H = _hermitian_part(V @ V.conj().T)
+    assert np.linalg.cholesky(H.T, upper=True).tobytes() == scipy_cholesky(H.T, upper=True).tobytes()
+
+
+def test_shifted_cholesky_leaves_its_input_as_it_came(rng):
+    V = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for H in (_hermitian_part(V @ V.conj().T), np.diag([1.0, -1.0]).astype(complex)):
+        before = H.copy()
+        _shifted_cholesky_succeeds(H, PSD_TOL)
+        assert H.tobytes() == before.tobytes()
+
+
+# not Hermitian: at 1e200 the norms overflow and the defect read nan, so the
+# matrix passed as positive; past ~7e145 LAPACK's eigensolver corrupted the heap
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e308])
+def test_norm_above_the_bound_is_refused(scale):
+    A = scale * np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="2\\^480"):
+        tw.is_positive_twisted(tw.WongCoeffMatrix(1, 1, A))
+
+
+def test_norm_just_below_the_bound_is_decided():
+    scale = 2.0 ** 470
+    A = scale * np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    assert not tw.is_positive_twisted(tw.WongCoeffMatrix(1, 1, A)).is_positive
+    assert tw.is_positive_twisted(tw.WongCoeffMatrix(1, 2, scale * np.eye(3, dtype=complex))).is_positive
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -304,6 +366,49 @@ def test_envelope_tie_goes_to_the_first_entry():
     np.testing.assert_array_equal(Y, np.log(-np.log([0.5, 0.1, 0.2])))
     for g, w in zip((X, Y), envelope_by_shell(weights, mags)):
         np.testing.assert_array_equal(g, w)
+
+
+# --- numpy ports of the scipy.special functions the fits use ---
+
+def test_log_factorial_equals_gammaln_bitwise():
+    Ns = np.arange(20001)
+    got = np.array([_log_factorial(int(N)) for N in Ns])
+    assert got.tobytes() == gammaln(Ns + 1.0).tobytes()
+
+
+# few distinct values, so ties at the maximum and sums that cancel are common
+_LSE_VALUES = st.one_of(st.sampled_from([-np.inf, -3.0, 0.0, 0.5, 2.0, 700.0]),
+                        st.floats(-800.0, 800.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), rows=st.sampled_from([None, 1, 2, 4]), cols=st.integers(1, 8),
+       weights=st.sampled_from(["none", "row", "full"]), return_sign=st.booleans())
+def test_logsumexp_equals_scipy_bitwise(data, rows, cols, weights, return_sign):
+    shape = (cols,) if rows is None else (rows, cols)
+    a = data.draw(hnp.arrays(float, shape, elements=_LSE_VALUES))
+    b = None if weights == "none" else data.draw(
+        hnp.arrays(float, shape if weights == "full" else (cols,), elements=st.sampled_from([-1.0, 0.0, 1.0])))
+    axis = None if rows is None else data.draw(st.sampled_from([None, 1]))
+    got = _logsumexp(a, b=b, axis=axis, return_sign=return_sign)
+    want = logsumexp(a, b=b, axis=axis, return_sign=return_sign)
+    for g, w in zip(got, want) if return_sign else [(got, want)]:
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_logsumexp_edge_cases_equal_scipy():
+    cases = [([1.0, 1.0], [1.0, -1.0]),           # cancels to zero
+             ([2.0, 2.0, 1.0], None),             # tie at the maximum
+             ([-np.inf, -np.inf], None),          # every term zero
+             ([3.0, np.inf], [1.0, 0.0]),         # zero weight on an infinite term
+             ([0.0, 1.0], [1.0, -1.0]),           # negative sum
+             ([], None)]                          # empty
+    for a, b in cases:
+        for return_sign in (False, True):
+            got = _logsumexp(np.array(a), b=b, return_sign=return_sign)
+            want = logsumexp(np.array(a), b=b, return_sign=return_sign)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, b, return_sign)
 
 
 # --- decay classification ---
