@@ -131,9 +131,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    """Compute every table first, so a failure leaves no file behind."""
     config = _config_dict(args, ["d", "n_max", "N_max", "rank", "planted_s", "planted_r", "seed",
                                  "grid_L", "grid_n"])
-    os.makedirs(args.out_dir, exist_ok=True)
+    tables = {}
     kmax = min(args.n_max, 16)
 
     rule = gauss_hermite_rule(4 * (kmax + 1))
@@ -141,8 +142,7 @@ def cmd_tables(args) -> int:
     G = (hs * rule.weights_compensated) @ hs.T
     rows = [(i, j, float(abs(G[i, j] - (1.0 if i == j else 0.0))))
             for i in range(kmax + 1) for j in range(kmax + 1)]
-    _write_csv(os.path.join(args.out_dir, "hermite_orthonormality.csv"),
-               ["i", "j", "deviation"], rows, config)
+    tables["hermite_orthonormality.csv"] = (["i", "j", "deviation"], rows)
 
     # coefficient product vs grid quadrature, small index range
     oracle_n = 73
@@ -156,8 +156,7 @@ def cmd_tables(args) -> int:
                 if a2 == b1 else np.zeros_like(got.values)
             gap = float(np.sqrt(np.sum(np.abs(got.values - expect) ** 2) * got.cell))
             rows.append((a2, b1, gap))
-    _write_csv(os.path.join(args.out_dir, "twisted_product_gaps.csv"),
-               ["alpha2", "beta1", "l2_gap"], rows, config)
+    tables["twisted_product_gaps.csv"] = (["alpha2", "beta1", "l2_gap"], rows)
 
     rows = []
     for a1 in range(3):
@@ -167,18 +166,20 @@ def cmd_tables(args) -> int:
             lam = 2 * a1 + 1
             err = float(np.max(np.abs(out.values - lam * r.values)) / np.max(np.abs(lam * r.values)))
             rows.append((a1, a2, err))
-    _write_csv(os.path.join(args.out_dir, "oscillator_eigen_residuals.csv"),
-               ["alpha1", "alpha2", "rel_error"], rows, config)
+    tables["oscillator_eigen_residuals.csv"] = (["alpha1", "alpha2", "rel_error"], rows)
 
     report = verify_regularity_theorem(args.planted_s, args.rank, args.seed, args.N_max,
                                        d=args.d, n_max=args.n_max, planted_r=args.planted_r)
     rows = [(N, float(g)) for N, g in enumerate(report["growth_log_values"])]
-    _write_csv(os.path.join(args.out_dir, "growth_sequence.csv"), ["N", "log_g_N"], rows, config)
+    tables["growth_sequence.csv"] = (["N", "log_g_N"], rows)
     rows = [(report["planted_s"], report["fitted_s_growth"], report["fitted_s_decay"],
              report["residuals"]["growth"], report["residuals"]["decay"], int(report["pass"]))]
-    _write_csv(os.path.join(args.out_dir, "growth_fit.csv"),
-               ["planted_s", "fitted_s_growth", "fitted_s_decay",
-                "growth_residual", "decay_residual", "pass"], rows, config)
+    tables["growth_fit.csv"] = (["planted_s", "fitted_s_growth", "fitted_s_decay",
+                                 "growth_residual", "decay_residual", "pass"], rows)
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(args.out_dir, name), header, rows, config)
     return 0
 
 

@@ -111,15 +111,12 @@ def gauss_hermite_rule(n: int) -> QuadratureRule:
     if n == 1:
         nodes = np.zeros(1)
         weights = np.array([np.sqrt(np.pi)])
+        comp = weights.copy()
     else:
         off = np.sqrt(np.arange(1, n) / 2.0)
         nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
         weights = np.sqrt(np.pi) * vecs[0] ** 2
-    if n >= 2:
-        h_top = hermite_batch(n - 1, nodes)[n - 1]
-        comp = 1.0 / (n * h_top ** 2)
-    else:
-        comp = np.array([np.sqrt(np.pi)])
+        comp = 1.0 / (n * hermite_batch(n - 1, nodes)[n - 1] ** 2)
     return QuadratureRule(nodes, weights, comp, 2 * n - 1)
 
 

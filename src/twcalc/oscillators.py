@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationWarning
-from .algebra import WongCoeffMatrix
+from .algebra import WongCoeffMatrix, kernel_map_A_coeff
 from .hermite import oscillator_eigenvalues
 from .phase_space import GridFunction, _pair_slabs, check_boundary
 
@@ -102,50 +102,26 @@ def apply_ladder(C: WongCoeffMatrix, kind: LadderKind) -> WongCoeffMatrix:
     if kind.axis >= C.d:
         raise ValueError(f"axis {kind.axis} out of range for d={C.d}")
     m = C.n_max + 1
-    shape = (m,) * C.d + (m,) * C.d
-    T = C.entries.reshape(shape)
     slot = kind.axis if kind.family in ("Z2", "Z2_tilde") else C.d + kind.axis
-    k = np.arange(m, dtype=float)
+    # the stepped index first; out keeps T's memory order, so moving it back is C order
+    T = np.moveaxis(C.entries.reshape((m,) * 2 * C.d), slot, 0)
+    k = np.arange(m, dtype=float).reshape((m,) + (1,) * (2 * C.d - 1))
     out = np.zeros_like(T)
-
-    def mov(src, dst):
-        sl_src = [slice(None)] * 2 * C.d
-        sl_src[slot] = src
-        sl_dst = [slice(None)] * 2 * C.d
-        sl_dst[slot] = dst
-        return tuple(sl_src), tuple(sl_dst)
-
-    lowering = kind.family in ("Z1", "Z2")
-    if lowering:
+    if kind.family in ("Z1", "Z2"):
         # entry at index k contributes to index k - 1 with weight sqrt(2k)
-        w = np.sqrt(2 * k[1:])
-        src, dst = mov(slice(1, None), slice(0, m - 1))
-        out[dst] = _along(T[src], w, slot)
-        if kind.family == "Z2":
-            out = -out
+        out[:-1] = T[1:] * np.sqrt(2 * k[1:])
     else:
         # entry at index k contributes to index k + 1 with weight sqrt(2k + 2)
-        w = np.sqrt(2 * k[: m - 1] + 2)
-        src, dst = mov(slice(0, m - 1), slice(1, None))
-        out[dst] = _along(T[src], w, slot)
-        if kind.family == "Z1_tilde":
-            out = -out
-        top = [slice(None)] * 2 * C.d
-        top[slot] = m - 1
-        dropped = T[tuple(top)]
-        if np.any(dropped != 0):
+        out[1:] = T[:-1] * np.sqrt(2 * k[:-1] + 2)
+        if np.any(T[-1] != 0):
             warnings.warn(
                 f"raising past n_max={C.n_max} dropped coefficients "
-                f"(mass {float(np.sum(np.abs(dropped) ** 2)):.3e})",
+                f"(mass {float(np.sum(np.abs(T[-1]) ** 2)):.3e})",
                 TruncationWarning, stacklevel=2)
-    side = (C.n_max + 1) ** C.d
-    return WongCoeffMatrix(C.d, C.n_max, out.reshape(side, side))
-
-
-def _along(block: np.ndarray, weights: np.ndarray, slot: int) -> np.ndarray:
-    shape = [1] * block.ndim
-    shape[slot] = len(weights)
-    return block * weights.reshape(shape)
+    if kind.family in ("Z2", "Z1_tilde"):
+        out = -out
+    side = m ** C.d
+    return WongCoeffMatrix(C.d, C.n_max, np.moveaxis(out, 0, slot).reshape(side, side))
 
 
 def h_sigma_from_ladders(C: WongCoeffMatrix) -> WongCoeffMatrix:
@@ -164,7 +140,9 @@ def h_bar_sigma_from_ladders(C: WongCoeffMatrix) -> WongCoeffMatrix:
 
 
 def _from_ladders(C: WongCoeffMatrix, lower: str, raise_: str) -> WongCoeffMatrix:
-    padded = _pad(C, 1)
+    m = C.n_max + 1
+    padded = np.pad(C.entries.reshape((m,) * 2 * C.d), (0, 1))
+    padded = WongCoeffMatrix(C.d, m, padded.reshape((m + 1) ** C.d, -1))
     acc = np.zeros_like(padded.entries)
     for j in range(C.d):
         lo = LadderKind(lower, j)
@@ -172,25 +150,8 @@ def _from_ladders(C: WongCoeffMatrix, lower: str, raise_: str) -> WongCoeffMatri
         first = apply_ladder(apply_ladder(padded, hi), lo)
         second = apply_ladder(apply_ladder(padded, lo), hi)
         acc += first.entries + second.entries
-    out = WongCoeffMatrix(C.d, C.n_max + 1, -0.5 * acc)
-    return _crop(out, C.n_max)
-
-
-def _pad(C: WongCoeffMatrix, extra: int) -> WongCoeffMatrix:
-    m, mm = C.n_max + 1, C.n_max + 1 + extra
-    src = C.entries.reshape((m,) * 2 * C.d)
-    dst = np.zeros((mm,) * 2 * C.d, dtype=complex)
-    dst[(slice(0, m),) * 2 * C.d] = src
-    side = mm ** C.d
-    return WongCoeffMatrix(C.d, C.n_max + extra, dst.reshape(side, side))
-
-
-def _crop(C: WongCoeffMatrix, n_max: int) -> WongCoeffMatrix:
-    m, mm = n_max + 1, C.n_max + 1
-    src = C.entries.reshape((mm,) * 2 * C.d)
-    out = src[(slice(0, m),) * 2 * C.d]
-    side = m ** C.d
-    return WongCoeffMatrix(C.d, n_max, out.reshape(side, side).copy())
+    out = (-0.5 * acc).reshape((m + 1,) * 2 * C.d)[(slice(0, m),) * 2 * C.d]
+    return WongCoeffMatrix(C.d, C.n_max, out.reshape(m ** C.d, -1).copy())
 
 
 # 4th-order central differences: the centre weight in h^2 v'', and per
@@ -249,8 +210,6 @@ def intertwine_residual(C: WongCoeffMatrix, n1: int, n2: int) -> float:
     slotwise.  Both are exact diagonal scalings, so the residual is at
     rounding level.
     """
-    from .algebra import kernel_map_A_coeff
-
     left = C
     for _ in range(n1):
         left = apply_h_sigma_coeff(left)

@@ -375,12 +375,17 @@ def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
 def write_grid(path, f: GridFunction):
     """Binary layout: magic, dims u32, L f64, points u32, then complex64 row-major.
 
-    A JSON sidecar at ``path + '.json'`` repeats the header for tooling.
+    A JSON sidecar at ``path + '.json'`` repeats the header for tooling.  Values
+    beyond the complex64 range raise ValueError before any file is opened.
     """
     header = MAGIC + struct.pack("<IdI", f.dims, f.box_half_width, f.points_per_axis)
+    with np.errstate(over="ignore"):
+        values = np.ascontiguousarray(f.values.astype(np.complex64))
+    if not np.isfinite(values).all():
+        raise ValueError("grid values overflow complex64")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values.astype(np.complex64)).tobytes())
+        fh.write(values.tobytes())
     with open(str(path) + ".json", "w") as fh:
         json.dump({"dims": f.dims, "L": f.box_half_width, "points_per_axis": f.points_per_axis}, fh)
 

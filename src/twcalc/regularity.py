@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import WongCoeffMatrix, twisted_apply
+from .algebra import WongCoeffMatrix, fsigma_coeff, synthesize, twisted_apply, weyl_quantize
 from .hermite import index_totals, oscillator_eigenvalues
 from .phase_space import GridFunction, require_same_grid
 
 PSD_TOL = 1e-10
+# largest rms residual of a decay fit that classify_decay reports as a clean fit
+_DECAY_RESIDUAL_OK = 0.35
 # Largest Frobenius norm is_positive_twisted accepts.  Above about 1e154 the
 # norms overflow and the Hermitian defect reads nan or 0; above about 7e145
 # LAPACK's zheevd rescales the matrix, and with eigenvectors that path has
@@ -168,8 +170,6 @@ def witness_function(C: WongCoeffMatrix, witness: np.ndarray,
     For psi of this form, (a *s psi, psi) = <C w, w>, so a negative
     eigendirection shows up as a negative grid pairing.
     """
-    from .algebra import synthesize
-
     side = C.side
     W = np.zeros((side, side), dtype=complex)
     W[:, 0] = witness
@@ -229,47 +229,31 @@ def random_positive_element(rank: int, planted_s: float, planted_r: float,
     return WongCoeffMatrix(d, n_max, C), vectors
 
 
-def _logsumexp(a, b=None, axis=None, return_sign=False):
-    """scipy.special.logsumexp for float64 input, in scipy 1.17's order of operations.
+def _logsumexp(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """(log|sum b e^a|, sign of the sum) along the last axis, as scipy 1.17 computes it.
 
-    The largest term is split off and the rest summed relative to it
-    (Blanchard, Higham & Higham, "Accurately computing the log-sum-exp and
-    softmax functions", IMA J. Numer. Anal. 41(4), 2021); wherever that is
-    not finite, the direct log(sum(b exp a)) is returned instead.  Each step
-    is the numpy call scipy makes, so results agree bit for bit.
+    scipy.special.logsumexp(a, b=b, axis=-1, return_sign=True) for float64 a
+    and nonzero weights b that broadcast against it.  The largest term is
+    split off and the rest summed relative to it (Blanchard, Higham & Higham,
+    "Accurately computing the log-sum-exp and softmax functions", IMA J.
+    Numer. Anal. 41(4), 2021); wherever that is not finite, the direct
+    log|sum(b exp a)| is returned instead.  Each step is the numpy call
+    scipy makes, so results agree bit for bit.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if b is not None:
-        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
-    axes = tuple(range(a.ndim)) if axis is None else axis
-    if a.size == 0:
-        out = np.full(np.sum(a, axis=axes, keepdims=True).shape, -np.inf)
-        sgn = np.sign(out)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = np.sum(np.exp(a) if b is None else b * np.exp(a), axis=axes, keepdims=True)
-            sgn_direct = np.sign(direct)
-            out_direct = np.log(np.abs(direct) if return_sign else direct)
-            if b is not None:
-                a = np.where(b == 0, -np.inf, a)
-            a_max = np.max(a, axis=axes, keepdims=True)
-            at_max = a == a_max
-            a = np.where(at_max, -np.inf, a)
-            weight = at_max.astype(float) if b is None else b * at_max.astype(float)
-            m = np.sum(weight, axis=axes, keepdims=True, dtype=float)
-            e = np.exp(a - a_max) if b is None else b * np.exp(a - a_max)
-            s = np.sum(e, axis=axes, keepdims=True, dtype=float)
-            s = np.where(s == 0, s, s / m)
-            sgn = np.sign(s + 1) * np.sign(m)
-            s = np.where(s < -1, -s - 2, s)
-            out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        if not return_sign:
-            out[sgn < 0] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.sum(b * np.exp(a), axis=-1, keepdims=True)
+        a_max = np.max(a, axis=-1, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(b * at_max, axis=-1, keepdims=True, dtype=float)
+        s = np.sum(b * np.exp(np.where(at_max, -np.inf, a) - a_max), axis=-1, keepdims=True, dtype=float)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
         finite = np.isfinite(out)
-        out = np.where(finite, out, out_direct)
-        sgn = np.where(finite, sgn, sgn_direct)
-    out = np.squeeze(out, axis=axes)[()]
-    return (out, np.squeeze(sgn, axis=axes)[()]) if return_sign else out
+        out = np.where(finite, out, np.log(np.abs(direct)))
+    sign = np.where(finite, sign, np.sign(direct))
+    return out[..., 0], sign[..., 0]
 
 
 # cephes lgam: Stirling-series coefficients and log(sqrt(2 pi))
@@ -326,7 +310,7 @@ def _origin_logs(C: WongCoeffMatrix, powers: np.ndarray):
     if not np.any(keep):
         return np.zeros(len(powers)), np.full(len(powers), -np.inf)
     logs = np.log(np.abs(diag[keep]))[None, :] + (2.0 * powers)[:, None] * np.log(lam[keep])[None, :]
-    total, sign = _logsumexp(logs, b=np.sign(diag[keep]), axis=1, return_sign=True)
+    total, sign = _logsumexp(logs, np.sign(diag[keep]))
     return sign, 0.5 * C.d * np.log(2.0 / np.pi) + total
 
 
@@ -354,7 +338,8 @@ def trace_identity_check(vectors: np.ndarray, N: int, d: int = 1, n_max: int | N
     lam = oscillator_eigenvalues(d, n_max)
     with np.errstate(divide="ignore"):
         terms = 2.0 * np.log(np.abs(vectors)) + 2.0 * N * np.log(lam)[None, :]
-    lhs = _logsumexp(terms[np.isfinite(terms)])
+    terms = terms[np.isfinite(terms)]
+    lhs = _logsumexp(terms, 1.0)[0] if terms.size else -np.inf
     C = WongCoeffMatrix(d, n_max, np.einsum("ka,kb->ab", vectors, vectors.conj()))
     sign, rhs_log = t_sigma_origin_log(C, N)
     rhs = 0.5 * d * np.log(np.pi / 2.0) + rhs_log
@@ -381,16 +366,16 @@ def _envelope_points(weights: np.ndarray, mags: np.ndarray):
     return np.log(weights[at][ok]), np.log(-np.log(c[ok]))
 
 
-def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
+def classify_decay(C: WongCoeffMatrix) -> DecayFit:
     """Estimate the decay order s from the coefficient envelope.
 
     Fits log(-log |c_alpha|) against log of two index weights, the total
     |alpha1| + |alpha2| (slope 1/(2s)) and the product <alpha1><alpha2>
     (slope 1/(4s)), over dyadic-shell maxima, and reports the variant with
-    the smaller residual.  Needs >= 12 usable coefficients across >= 3
-    shells, else the fit is indeterminate.  A single truncation cannot
-    distinguish Beurling from Roumieu decay, so a clean fit is reported as
-    the Roumieu-type rate that realizes it.
+    the smaller residual, the total on a tie.  Needs >= 12 usable
+    coefficients across >= 3 shells, else the fit is indeterminate.  A
+    single truncation cannot distinguish Beurling from Roumieu decay, so a
+    clean fit is reported as the Roumieu-type rate that realizes it.
     """
     totals = index_totals(C.d, C.n_max).astype(float)
     japp = np.sqrt(1.0 + totals ** 2)
@@ -398,43 +383,32 @@ def classify_decay(C: WongCoeffMatrix, residual_ok: float = 0.35) -> DecayFit:
     sum_w = totals[:, None] + totals[None, :]
     usable = (mags > 1e-300) & (sum_w >= 1)
     n_usable = int(np.count_nonzero(usable))
-    # an unusable entry counts as 0, which no shell holding a usable entry
-    # picks and no envelope point keeps
-    mags = np.where(usable, mags, 0.0).ravel()
-
-    def run(weights):
-        X, Y = _envelope_points(weights.ravel(), mags)
-        if X.size < 3:
-            return None
-        A = np.stack([np.ones_like(X), X], axis=1)
-        coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
-        rms = float(np.sqrt(np.mean((A @ coef - Y) ** 2)))
-        return coef, rms, X.size
-
     if n_usable < 12:
         return DecayFit(0.0, 0.0, "indeterminate", 0.0, n_usable,
                         note="fewer than 12 usable coefficients")
-    prod_w = japp[:, None] * japp[None, :]
-    fit_sum = run(sum_w)
-    fit_prod = run(prod_w)
-    if fit_sum is None and fit_prod is None:
+    # an unusable entry counts as 0, which no shell holding a usable entry
+    # picks and no envelope point keeps
+    mags = np.where(usable, mags, 0.0).ravel()
+    fits = []
+    for weights, slope_to_s, variant in ((sum_w, 2.0, "sum"),
+                                         (japp[:, None] * japp[None, :], 4.0, "product")):
+        X, Y = _envelope_points(weights.ravel(), mags)
+        if X.size >= 3:
+            A = np.stack([np.ones_like(X), X], axis=1)
+            coef, *_ = np.linalg.lstsq(A, Y, rcond=None)
+            rms = float(np.sqrt(np.mean((A @ coef - Y) ** 2)))
+            fits.append((rms, coef, X.size, slope_to_s, variant))
+    if not fits:
         return DecayFit(0.0, 0.0, "indeterminate", 0.0, n_usable,
                         note="fewer than 3 dyadic shells")
-    if fit_prod is None or (fit_sum is not None and fit_sum[1] <= fit_prod[1]):
-        coef, rms, npts = fit_sum
-        slope_to_s = 2.0
-        variant = "sum"
-    else:
-        coef, rms, npts = fit_prod
-        slope_to_s = 4.0
-        variant = "product"
+    rms, coef, npts, slope_to_s, variant = min(fits, key=lambda fit: fit[0])
     slope = coef[1]
     if slope <= 0:
         return DecayFit(0.0, 0.0, "indeterminate", rms, npts, variant,
                         note="non-decaying envelope")
     s_hat = 1.0 / (slope_to_s * slope)
     r_hat = float(np.exp(coef[0]))
-    flavor = "roumieu" if rms <= residual_ok else "indeterminate"
+    flavor = "roumieu" if rms <= _DECAY_RESIDUAL_OK else "indeterminate"
     note = "" if flavor == "indeterminate" else \
         "beurling membership is not decidable from one truncation"
     return DecayFit(float(s_hat), r_hat, flavor, rms, npts, variant, note)
@@ -493,6 +467,8 @@ def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
 def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra) -> dict:
     if not (np.isfinite(s_tol) and s_tol >= 0):
         raise ValueError(f"s_tol must be finite and >= 0, got {s_tol!r}")
+    if n_powers < 4:
+        raise ValueError("need n_powers >= 4 to fit")
     pos = is_positive_twisted(C)
     report = {
         "planted_s": planted_s,
@@ -545,13 +521,12 @@ def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,
     the symbol in the decay class; realized by testing the quantized matrix
     for PSD and running the theorem harness on F_s a.
     """
-    from .algebra import fsigma_coeff, weyl_quantize
-
+    if n_powers < 4:
+        raise ValueError("need n_powers >= 4 to fit")
     M = weyl_quantize(C_symbol)
     op = WongCoeffMatrix(C_symbol.d, C_symbol.n_max, M)
     pos = is_positive_twisted(op)
     if not pos:
         return _not_psd_report(pos, "Weyl operator is not positive semi-definite")
     Fa = fsigma_coeff(C_symbol)
-    report = _theorem_report(Fa, planted_s, None, n_powers, s_tol, {"weyl_operator_psd": True})
-    return report
+    return _theorem_report(Fa, planted_s, None, n_powers, s_tol, {"weyl_operator_psd": True})

@@ -266,13 +266,24 @@ def test_verify_input_takes_n_max_seed_and_tol(tmp_path, monkeypatch):
     ["verify", "--n-max", 4, "--planted-s", 0, "--out", "r.json"],
     ["verify", "--n-max", 0, "--out", "r.json"],
     ["verify", "--n-max", 4, "--tol", "nan", "--out", "r.json"],
+    ["verify", "--in", "psd.json", "--N-max", -3, "--out", "r.json"],
+    ["verify", "--in", "not_psd.json", "--N-max", -3, "--out", "r.json"],
     ["tables", "--n-max", 4, "--N-max", 8, "--grid-L", 0, "--out-dir", "t"],
+    ["tables", "--n-max", 4, "--N-max", 8, "--grid-n", 8, "--out-dir", "t"],
+    ["tables", "--n-max", 4, "--N-max", 8, "--rank", 0, "--out-dir", "t"],
+    ["tables", "--n-max", 4, "--N-max", 3, "--out-dir", "t"],
 ], ids=["gen-negative-n-max", "gen-negative-n-max-given-r", "gen-infinite-s", "gen-negative-r", "verify-zero-s",
-        "verify-zero-n-max", "verify-nan-tol", "tables-zero-box"])
+        "verify-zero-n-max", "verify-nan-tol", "verify-psd-input-few-powers", "verify-not-psd-input-few-powers",
+        "tables-zero-box", "tables-coarse-grid", "tables-zero-rank", "tables-few-powers"])
 def test_out_of_range_values_exit_2(tmp_path, monkeypatch, argv):
+    # the exit code must not depend on the data: a bad --N-max fails before the PSD test
     monkeypatch.chdir(tmp_path)
+    C, _ = tw.random_positive_element(2, 0.5, 1.0, seed=2, n_max=4)
+    (tmp_path / "psd.json").write_text(tw.wong_to_json(C))
+    (tmp_path / "not_psd.json").write_text(tw.wong_to_json(tw.WongCoeffMatrix(1, 4, -C.entries)))
     assert run(argv) == 2
     assert not (tmp_path / "C.json").exists() and not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "t").exists()        # tables writes all of its files or none
 
 
 @pytest.mark.parametrize("argv", [

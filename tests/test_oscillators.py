@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,35 @@ def test_ladder_truncation_warns():
     with pytest.warns(TruncationWarning):
         out = tw.apply_ladder(u(((6,), (0,))), LadderKind("Z2_tilde"))
     assert np.all(out.entries == 0)
+
+
+# family -> (slot stepped: 0 for alpha1, 1 for alpha2; index step; sign of the weight)
+_LADDER_STEPS = {"Z1": (1, -1, 1.0), "Z1_tilde": (1, 1, -1.0), "Z2": (0, -1, -1.0), "Z2_tilde": (0, 1, 1.0)}
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("family", sorted(_LADDER_STEPS))
+def test_ladder_steps_one_axis_at_d2(family, axis):
+    pair = ((1, 2), (2, 1))
+    slot, step, sign = _LADDER_STEPS[family]
+    target = [list(pair[0]), list(pair[1])]
+    k = target[slot][axis]
+    target[slot][axis] += step
+    val, at = only_entry(tw.apply_ladder(u(pair, d=2, n_max=3), LadderKind(family, axis)))
+    _, want = only_entry(u((tuple(target[0]), tuple(target[1])), d=2, n_max=3))
+    assert at == want
+    assert val == sign * np.sqrt(2.0 * k if step < 0 else 2.0 * k + 2.0)
+
+
+@pytest.mark.parametrize("family, pair", [("Z2_tilde", ((0, 3), (0, 0))), ("Z1_tilde", ((0, 0), (0, 3)))])
+def test_ladder_truncation_warns_at_d2(family, pair):
+    with pytest.warns(TruncationWarning, match=r"raising past n_max=3 dropped coefficients \(mass 1.000e\+00\)"):
+        out = tw.apply_ladder(u(pair, d=2, n_max=3), LadderKind(family, axis=1))
+    assert np.all(out.entries == 0)
+    # the other axis has room, so the step is kept and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        only_entry(tw.apply_ladder(u(pair, d=2, n_max=3), LadderKind(family, axis=0)))
 
 
 def test_ladder_axis_bounds():

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,15 @@ def test_grid_binary_round_trip(tmp_path):
     with open(sidecar) as fh:
         head = json.load(fh)
     assert head == {"dims": 2, "L": L, "points_per_axis": 64}
+
+
+@pytest.mark.parametrize("value", [1e39 + 0j, 1j * -1e39], ids=["real", "imag"])
+def test_grid_beyond_complex64_refused_before_writing(tmp_path, value):
+    path = tmp_path / "grid.twc"
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="overflow complex64"):
+        warnings.simplefilter("error")      # the cast's overflow warning would fail the test
+        tw.write_grid(path, tw.GridFunction(1, 8.0, 16, np.full(16, value)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grid_bad_magic(tmp_path):

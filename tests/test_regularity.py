@@ -383,32 +383,44 @@ _LSE_VALUES = st.one_of(st.sampled_from([-np.inf, -3.0, 0.0, 0.5, 2.0, 700.0]),
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), rows=st.sampled_from([None, 1, 2, 4]), cols=st.integers(1, 8),
-       weights=st.sampled_from(["none", "row", "full"]), return_sign=st.booleans())
-def test_logsumexp_equals_scipy_bitwise(data, rows, cols, weights, return_sign):
+       weights=st.sampled_from(["unit", "row", "full"]))
+def test_logsumexp_equals_scipy_bitwise(data, rows, cols, weights):
     shape = (cols,) if rows is None else (rows, cols)
     a = data.draw(hnp.arrays(float, shape, elements=_LSE_VALUES))
-    b = None if weights == "none" else data.draw(
-        hnp.arrays(float, shape if weights == "full" else (cols,), elements=st.sampled_from([-1.0, 0.0, 1.0])))
-    axis = None if rows is None else data.draw(st.sampled_from([None, 1]))
-    got = _logsumexp(a, b=b, axis=axis, return_sign=return_sign)
-    want = logsumexp(a, b=b, axis=axis, return_sign=return_sign)
-    for g, w in zip(got, want) if return_sign else [(got, want)]:
+    if weights == "unit":
+        # as trace_identity_check calls it, against scipy without weights or sign
+        got = _logsumexp(a, 1.0)[0]
+        want = logsumexp(a, axis=-1)
+        assert np.shape(got) == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
+        return
+    # +-1 weights along the last axis, as _origin_logs calls it; a row of weights broadcasts
+    b = data.draw(hnp.arrays(float, shape if weights == "full" else (cols,),
+                             elements=st.sampled_from([-1.0, 1.0])))
+    for g, w in zip(_logsumexp(a, b), logsumexp(a, b=b, axis=-1, return_sign=True)):
         assert np.shape(g) == np.shape(w)
-        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert g.tobytes() == np.asarray(w).tobytes()
 
 
 def test_logsumexp_edge_cases_equal_scipy():
     cases = [([1.0, 1.0], [1.0, -1.0]),           # cancels to zero
-             ([2.0, 2.0, 1.0], None),             # tie at the maximum
-             ([-np.inf, -np.inf], None),          # every term zero
-             ([3.0, np.inf], [1.0, 0.0]),         # zero weight on an infinite term
-             ([0.0, 1.0], [1.0, -1.0]),           # negative sum
-             ([], None)]                          # empty
+             ([2.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # tie at the maximum
+             ([2.0, 2.0, 1.0], [1.0, -1.0, 1.0]), # tie at the maximum that cancels
+             ([-np.inf, -np.inf], [1.0, 1.0]),    # every term zero
+             ([3.0, np.inf], [1.0, -1.0]),        # an infinite term
+             ([0.0, 1.0], [1.0, -1.0])]           # negative sum
     for a, b in cases:
-        for return_sign in (False, True):
-            got = _logsumexp(np.array(a), b=b, return_sign=return_sign)
-            want = logsumexp(np.array(a), b=b, return_sign=return_sign)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (a, b, return_sign)
+        got = _logsumexp(np.array(a), np.array(b))
+        want = logsumexp(np.array(a), b=b, return_sign=True)
+        for g, w in zip(got, want):
+            assert g.tobytes() == np.asarray(w).tobytes(), (a, b)
+        if min(b) > 0:
+            assert got[0].tobytes() == np.asarray(logsumexp(np.array(a))).tobytes(), a
+
+
+def test_trace_identity_without_a_nonzero_coefficient():
+    with np.errstate(invalid="ignore"):     # the gap of two -inf logs is nan
+        lhs, rhs, _ = tw.trace_identity_check(np.zeros((2, 5)), 3, d=1, n_max=4)
+    assert lhs == -np.inf and rhs == -np.inf
 
 
 # --- decay classification ---
@@ -553,6 +565,15 @@ def test_verify_weyl_positive_rejects_indefinite():
     symbol = tw.fsigma_coeff(C)
     report = tw.verify_weyl_positive(symbol, 6)
     assert not report["pass"] and report["witness"] is not None
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["psd", "indefinite"])
+def test_too_few_powers_raise_before_the_psd_test(sign):
+    C = tw.WongCoeffMatrix(1, 1, np.diag([1.0, sign]).astype(complex))
+    with pytest.raises(ValueError, match="n_powers >= 4"):
+        tw.verify_weyl_positive(tw.fsigma_coeff(C), 3)
+    with pytest.raises(ValueError, match="n_powers >= 4"):
+        verify_matrix_report(C, 3)
 
 
 def test_verify_regularity_theorem_d2():
