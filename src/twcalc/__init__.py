@@ -24,7 +24,6 @@ from .hermite import (
     coeff_vector_to_json,
     gauss_hermite_rule,
     hermite_batch,
-    hermite_eval,
     multi_indices,
     project_to_hermite,
     synthesize_hermite,

@@ -21,24 +21,21 @@ from .hermite import (
     _json_object,
     hermite_batch,
     index_totals,
-    multi_indices,
 )
 from .phase_space import (
-    DEFAULT_BOX,
     GridFunction,
     _dft_kernel,
     _each_pair,
     _inverse_pair_map,
     _kernel_pair_map,
     check_boundary,
+    normalize_pair,
     require_same_grid,
 )
 
 TAIL_THRESHOLD = 1e-8
 # complex elements per FFT block of twisted_apply (16 MB)
 _FFT_BLOCK = 1 << 20
-# synthesize's default grid per d; a d = 2 grid holds n^4 samples
-DEFAULT_SYNTH_POINTS = {1: 129, 2: 33}
 
 
 @dataclass
@@ -75,13 +72,11 @@ class WongCoeffMatrix:
 
 
 def unit_entry(d: int, n_max: int, pair) -> WongCoeffMatrix:
-    """Matrix with a single unit coefficient at the given (alpha1, alpha2)."""
-    idx = multi_indices(d, n_max)
-    a1, a2 = pair
-    a1 = (a1,) if np.isscalar(a1) else tuple(a1)
-    a2 = (a2,) if np.isscalar(a2) else tuple(a2)
-    entries = np.zeros((len(idx), len(idx)), dtype=complex)
-    entries[idx.index(a1), idx.index(a2)] = 1.0
+    """Matrix with a single unit coefficient at (alpha1, alpha2); any other index raises ValueError."""
+    a1, a2 = normalize_pair(pair)
+    shape = (n_max + 1,) * d
+    entries = np.zeros(((n_max + 1) ** d,) * 2, dtype=complex)
+    entries[np.ravel_multi_index(a1, shape), np.ravel_multi_index(a2, shape)] = 1.0
     return WongCoeffMatrix(d, n_max, entries)
 
 
@@ -121,8 +116,7 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
     return out
 
 
-def synthesize(C: WongCoeffMatrix, box_half_width: float = DEFAULT_BOX,
-               points_per_axis: int | None = None) -> GridFunction:
+def synthesize(C: WongCoeffMatrix, box_half_width: float, points_per_axis: int) -> GridFunction:
     """Pointwise sum of c_{a1,a2} rho_{a1,a2} on the phase-space grid.
 
     Pair by pair: the kernel H^T c H on an odd grid, with H[a, x] = h_a(x),
@@ -133,8 +127,6 @@ def synthesize(C: WongCoeffMatrix, box_half_width: float = DEFAULT_BOX,
     on (n_max + 1)^2 matrices and the second on n^2, about n^5 complex
     multiply-adds in all.
     """
-    if points_per_axis is None:
-        points_per_axis = DEFAULT_SYNTH_POINTS[C.d]
     n = points_per_axis
     work_n, step = (n, 1) if n % 2 == 1 else (2 * n - 1, 2)
     H = hermite_batch(C.n_max, np.linspace(-box_half_width, box_half_width, work_n))

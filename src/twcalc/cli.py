@@ -83,17 +83,12 @@ def cmd_gen(args) -> int:
 
 def cmd_compose(args) -> int:
     if len(args.inputs) != 2:
-        print("compose needs exactly two --in files", file=sys.stderr)
-        return 2
+        raise ValueError("compose needs exactly two --in files")
     mats = []
     for path in args.inputs:
         with open(path) as fh:
             mats.append(wong_from_json(fh.read()))
-    try:
-        out = twisted_convolution_coeff(mats[0], mats[1])
-    except ValueError as exc:
-        print(f"compose: {exc}", file=sys.stderr)
-        return 2
+    out = twisted_convolution_coeff(mats[0], mats[1])
     text = wong_to_json(out, {"config": {"inputs": list(args.inputs)}, "version": __version__})
     with open(args.out, "w") as fh:
         fh.write(text)

@@ -69,19 +69,6 @@ def hermite_batch(n_max: int, x) -> np.ndarray:
     return out
 
 
-def hermite_eval(k: int, x: float) -> float:
-    """The L2-normalized Hermite function h_k at a single point.
-
-    Beyond |x| ~ 50 the Gaussian factor underflows and the value is an
-    exact 0.0; orders above 512 are outside the supported range.
-    """
-    if k < 0:
-        raise ValueError(f"order must be >= 0, got {k}")
-    if k > MAX_QUADRATURE_POINTS:
-        raise ValueError(f"order must be <= {MAX_QUADRATURE_POINTS}, got {k}")
-    return float(hermite_batch(k, np.asarray(x, dtype=float))[k])
-
-
 @dataclass
 class QuadratureRule:
     """Gauss-Hermite rule against the weight e^{-x^2}.
@@ -143,9 +130,6 @@ class HermiteCoeffVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def copy(self) -> "HermiteCoeffVector":
-        return HermiteCoeffVector(self.d, self.n_max, self.coeffs.copy())
-
 
 def apply_H_coeff(f: HermiteCoeffVector) -> HermiteCoeffVector:
     """Apply the harmonic oscillator |x|^2 - Laplace in coefficient space.
@@ -167,7 +151,7 @@ def default_node_count(n_max: int) -> int:
     return min(4 * (n_max + 1), MAX_QUADRATURE_POINTS)
 
 
-def project_to_hermite(f, n_max: int, d: int | None = None) -> HermiteCoeffVector:
+def project_to_hermite(f, n_max: int) -> HermiteCoeffVector:
     """Hermite coefficients <f, h_alpha> by tensor Gauss-Hermite quadrature.
 
     ``f`` is a GridFunction over R^d (d in {1, 2}) sampled on a uniform
@@ -180,10 +164,7 @@ def project_to_hermite(f, n_max: int, d: int | None = None) -> HermiteCoeffVecto
 
     if not isinstance(f, GridFunction):
         raise TypeError("project_to_hermite expects a GridFunction")
-    d = f.dims if d is None else d
-    if f.dims != d:
-        raise ValueError(f"grid has {f.dims} axes, expected {d}")
-    if d not in (1, 2):
+    if f.dims not in (1, 2):
         raise ValueError("only d in {1, 2} is supported")
     axis = f.axis()
     dx = axis[1] - axis[0]
@@ -201,7 +182,7 @@ def project_to_hermite(f, n_max: int, d: int | None = None) -> HermiteCoeffVecto
     hs = hermite_batch(n_max, rule.nodes)
     proj = hs * rule.weights_compensated  # rows integrate against h_k
     coeffs = _along_each_axis(proj, _along_each_axis(S, f.values))
-    return HermiteCoeffVector(d, n_max, coeffs)
+    return HermiteCoeffVector(f.dims, n_max, coeffs)
 
 
 def required_points_for(n_max: int, box_half_width: float) -> int:

@@ -210,19 +210,15 @@ def intertwine_residual(C: WongCoeffMatrix, n1: int, n2: int) -> float:
     slotwise.  Both are exact diagonal scalings, so the residual is at
     rounding level.
     """
-    left = C
-    for _ in range(n1):
-        left = apply_h_sigma_coeff(left)
-    for _ in range(n2):
-        left = apply_h_bar_sigma_coeff(left)
-    left = kernel_map_A_coeff(left)
+    def scaled(M):
+        for _ in range(n1):
+            M = apply_h_sigma_coeff(M)
+        for _ in range(n2):
+            M = apply_h_bar_sigma_coeff(M)
+        return M
 
-    right = kernel_map_A_coeff(C)       # rows, columns scale as |x|^2 - Delta_x, |y|^2 - Delta_y
-    for _ in range(n1):
-        right = apply_h_sigma_coeff(right)
-    for _ in range(n2):
-        right = apply_h_bar_sigma_coeff(right)
-
+    left = kernel_map_A_coeff(scaled(C))
+    right = scaled(kernel_map_A_coeff(C))   # rows, columns scale as |x|^2 - Delta_x, |y|^2 - Delta_y
     denom = right.norm()
     if denom == 0.0:
         return 0.0

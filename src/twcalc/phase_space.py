@@ -30,8 +30,6 @@ import numpy as np
 from .errors import GridMismatchError, TruncationError
 from .hermite import hermite_batch
 
-DEFAULT_BOX = 8.0
-DEFAULT_POINTS = 256
 BOUNDARY_THRESHOLD = 1e-8
 MAX_WONG_INDEX = 32
 
@@ -83,16 +81,9 @@ class GridFunction:
         peak = float(np.max(np.abs(self.values)))
         if peak == 0.0:
             return 0.0
-        worst = 0.0
-        for ax in range(self.dims):
-            for side in (0, -1):
-                sl = [slice(None)] * self.dims
-                sl[ax] = side
-                worst = max(worst, float(np.max(np.abs(self.values[tuple(sl)]))))
+        worst = max(float(np.max(np.abs(np.moveaxis(self.values, ax, 0)[side])))
+                    for ax in range(self.dims) for side in (0, -1))
         return worst / peak
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.dims, self.box_half_width, self.points_per_axis, self.values.copy())
 
 
 def require_same_grid(a: GridFunction, b: GridFunction):
@@ -209,8 +200,7 @@ def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunctio
     return GridFunction(2 * f.dims, f.box_half_width, n, _each_pair(F, pair_map))
 
 
-def hermite_wong_eval(pair, box_half_width: float = DEFAULT_BOX,
-                      points_per_axis: int = DEFAULT_POINTS) -> GridFunction:
+def hermite_wong_eval(pair, box_half_width: float, points_per_axis: int) -> GridFunction:
     """The Hermite-Wong basis function (-1)^{|a1|} W_{h_a1, h_a2} on the grid.
 
     ``pair`` is ((a1...), (a2...)) of equal dimension d in {1, 2}.  The
@@ -219,8 +209,8 @@ def hermite_wong_eval(pair, box_half_width: float = DEFAULT_BOX,
     d-dimensional ``wigner``.
     """
     a1, a2 = normalize_pair(pair)
-    if max(max(a1), max(a2)) > MAX_WONG_INDEX:
-        raise ValueError(f"indices above {MAX_WONG_INDEX} are not supported")
+    if len(a1) > 2 or max(max(a1), max(a2)) > MAX_WONG_INDEX:
+        raise ValueError(f"d in {{1, 2}} and indices up to {MAX_WONG_INDEX} are supported, got {pair!r}")
     axis = np.linspace(-box_half_width, box_half_width, points_per_axis)
     hs = hermite_batch(max(max(a1), max(a2)), axis)
     parts = []
@@ -228,23 +218,19 @@ def hermite_wong_eval(pair, box_half_width: float = DEFAULT_BOX,
         f = GridFunction(1, box_half_width, points_per_axis, hs[k1] + 0j)
         g = GridFunction(1, box_half_width, points_per_axis, hs[k2] + 0j)
         parts.append(wigner(f, g, strict=False).values * (-1) ** k1)
-    vals = parts[0]
-    for j, w in enumerate(parts[1:], 1):
-        # axes (x_1..x_j, xi_1..xi_j) gain x_{j+1} after x_j and xi_{j+1} last
-        n = w.shape[0]
-        vals = np.expand_dims(vals, j)[..., None] * w.reshape((1,) * j + (n,) + (1,) * j + (n,))
+    # at d = 2 the axes (x_1, xi_1) and (x_2, xi_2) interleave to (x_1, x_2, xi_1, xi_2)
+    vals = parts[0] if len(parts) == 1 else parts[0][:, None, :, None] * parts[1][None, :, None, :]
     return GridFunction(2 * len(a1), box_half_width, points_per_axis, vals)
 
 
 def normalize_pair(pair):
-    a1, a2 = pair
-    a1 = (a1,) if np.isscalar(a1) else tuple(int(v) for v in a1)
-    a2 = (a2,) if np.isscalar(a2) else tuple(int(v) for v in a2)
+    """(alpha1, alpha2) as tuples of Python ints, a scalar component as a 1-tuple."""
+    a1, a2 = (tuple(np.atleast_1d(a).tolist()) for a in pair)
     if len(a1) != len(a2):
         raise ValueError("pair components must have equal dimension")
-    if min(min(a1), min(a2)) < 0:
-        raise ValueError("indices must be non-negative")
-    return a1, a2
+    if any(v != int(v) or v < 0 for v in a1 + a2):
+        raise ValueError(f"indices must be non-negative integers, got {pair!r}")
+    return tuple(map(int, a1)), tuple(map(int, a2))
 
 
 def symplectic_fourier(a: GridFunction, strict: bool = True) -> GridFunction:

@@ -164,7 +164,7 @@ def _shifted_cholesky_succeeds(H: np.ndarray, tol: float) -> bool:
 
 
 def witness_function(C: WongCoeffMatrix, witness: np.ndarray,
-                     box_half_width: float = 8.0, points_per_axis: int = 73) -> GridFunction:
+                     box_half_width: float, points_per_axis: int) -> GridFunction:
     """Test function psi = sum_g witness[g] rho_{g, 0} carrying the witness.
 
     For psi of this form, (a *s psi, psi) = <C w, w>, so a negative
@@ -322,19 +322,17 @@ def t_sigma_origin(C: WongCoeffMatrix, N: int) -> float:
     return float(sign * np.exp(lg))
 
 
-def trace_identity_check(vectors: np.ndarray, N: int, d: int = 1, n_max: int | None = None):
+def trace_identity_check(vectors: np.ndarray, N: int, d: int, n_max: int):
     """Both sides of sum_k ||H^N f_k||^2 = (pi/2)^{d/2} (T^N a)(0,0).
 
-    ``vectors`` are the Gram generators, one per row.  Returns
-    (log lhs, log rhs, gap) with gap the absolute log difference, which is
-    the relative gap for values this close.
+    ``vectors`` are the Gram generators, one per row, over the
+    (n_max + 1)^d multi-indices.  Returns (log lhs, log rhs, gap) with gap
+    the absolute log difference, which is the relative gap for values this
+    close; equal sides give gap 0, also when both are log 0 = -inf.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=complex))
     if vectors.size == 0:
         raise ValueError("need at least one generating vector")
-    side = vectors.shape[1]
-    if n_max is None:
-        n_max = round(side ** (1.0 / d)) - 1
     lam = oscillator_eigenvalues(d, n_max)
     with np.errstate(divide="ignore"):
         terms = 2.0 * np.log(np.abs(vectors)) + 2.0 * N * np.log(lam)[None, :]
@@ -343,7 +341,7 @@ def trace_identity_check(vectors: np.ndarray, N: int, d: int = 1, n_max: int | N
     C = WongCoeffMatrix(d, n_max, np.einsum("ka,kb->ab", vectors, vectors.conj()))
     sign, rhs_log = t_sigma_origin_log(C, N)
     rhs = 0.5 * d * np.log(np.pi / 2.0) + rhs_log
-    gap = abs(lhs - rhs)
+    gap = 0.0 if lhs == rhs else abs(lhs - rhs)
     return float(lhs), float(rhs), float(gap)
 
 
@@ -449,9 +447,16 @@ def verify_regularity_theorem(planted_s: float, rank: int, seed: int, n_powers: 
     """
     if planted_r is None:
         planted_r = default_planted_rate(planted_s, n_max, n_powers)
-    C, vectors = random_positive_element(rank, planted_s, planted_r, seed, d, n_max)
-    return _theorem_report(C, planted_s, seed, n_powers, s_tol,
-                           {"rank": rank, "planted_r": planted_r})
+    C, _ = random_positive_element(rank, planted_s, planted_r, seed, d, n_max)
+    return {**verify_matrix_report(C, n_powers, planted_s, seed, s_tol), "rank": rank, "planted_r": planted_r}
+
+
+def _check_fit_args(n_powers: int, s_tol: float):
+    """Refuse a non-finite or negative s_tol and fewer than 4 powers, whatever the matrix."""
+    if not (np.isfinite(s_tol) and s_tol >= 0):
+        raise ValueError(f"s_tol must be finite and >= 0, got {s_tol!r}")
+    if n_powers < 4:
+        raise ValueError("need n_powers >= 4 to fit")
 
 
 def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
@@ -464,11 +469,13 @@ def _not_psd_report(pos: PositivityResult, reason: str) -> dict:
     }
 
 
-def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra) -> dict:
-    if not (np.isfinite(s_tol) and s_tol >= 0):
-        raise ValueError(f"s_tol must be finite and >= 0, got {s_tol!r}")
-    if n_powers < 4:
-        raise ValueError("need n_powers >= 4 to fit")
+def verify_matrix_report(C: WongCoeffMatrix, n_powers: int, planted_s: float | None = None,
+                         seed: int | None = None, s_tol: float = 0.15) -> dict:
+    """Theorem pipeline on a provided matrix (CLI verify with an input file).
+
+    The PSD test, then the growth and decay fits, held to planted_s or, without one, to each other.
+    """
+    _check_fit_args(n_powers, s_tol)
     pos = is_positive_twisted(C)
     report = {
         "planted_s": planted_s,
@@ -477,7 +484,6 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra)
         "N_max": n_powers,
         "positive": bool(pos),
     }
-    report.update(extra)
     if not pos:
         report.update(_not_psd_report(pos, "input is not positive semi-definite"))
         return report
@@ -507,12 +513,6 @@ def _theorem_report(C: WongCoeffMatrix, planted_s, seed, n_powers, s_tol, extra)
     return report
 
 
-def verify_matrix_report(C: WongCoeffMatrix, n_powers: int, planted_s: float | None = None,
-                         seed: int | None = None, s_tol: float = 0.15) -> dict:
-    """Theorem pipeline on a provided matrix (CLI verify with an input file)."""
-    return _theorem_report(C, planted_s, seed, n_powers, s_tol, {})
-
-
 def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,
                          planted_s: float | None = None, s_tol: float = 0.15) -> dict:
     """Positivity of the Weyl operator of a symbol, then the growth pipeline.
@@ -521,12 +521,11 @@ def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,
     the symbol in the decay class; realized by testing the quantized matrix
     for PSD and running the theorem harness on F_s a.
     """
-    if n_powers < 4:
-        raise ValueError("need n_powers >= 4 to fit")
+    _check_fit_args(n_powers, s_tol)
     M = weyl_quantize(C_symbol)
     op = WongCoeffMatrix(C_symbol.d, C_symbol.n_max, M)
     pos = is_positive_twisted(op)
     if not pos:
         return _not_psd_report(pos, "Weyl operator is not positive semi-definite")
-    Fa = fsigma_coeff(C_symbol)
-    return _theorem_report(Fa, planted_s, None, n_powers, s_tol, {"weyl_operator_psd": True})
+    return {**verify_matrix_report(fsigma_coeff(C_symbol), n_powers, planted_s, None, s_tol),
+            "weyl_operator_psd": True}

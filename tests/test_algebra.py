@@ -19,6 +19,26 @@ def u1(pair, n_max=4):
     return tw.unit_entry(1, n_max, pair)
 
 
+# --- unit entries ---
+
+@pytest.mark.parametrize("d, n_max, pair", [(1, 4, ((3,), (1,))), (1, 4, (0, 4)),
+                                             (2, 2, ((1, 0), (2, 1))), (2, 3, ((3, 3), (0, 2)))])
+def test_unit_entry_sits_at_the_c_order_flat_index(d, n_max, pair):
+    idx = tw.multi_indices(d, n_max)
+    a1, a2 = [(a,) if np.isscalar(a) else a for a in pair]
+    want = np.zeros(((n_max + 1) ** d,) * 2)
+    want[idx.index(a1), idx.index(a2)] = 1.0
+    np.testing.assert_array_equal(tw.unit_entry(d, n_max, pair).entries, want)
+
+
+@pytest.mark.parametrize("d, pair", [(1, ((-1,), (0,))), (1, ((0,), (3,))), (2, ((0, 1), (3, 0))),
+                                     (2, ((-1, 0), (0, 0))), (1, ((0, 0), (0, 0))), (2, ((0,), (0,))),
+                                     (2, ((0, 0), (0,))), (1, ((1.5,), (0,)))])
+def test_unit_entry_refuses_a_bad_index(d, pair):
+    with pytest.raises(ValueError):
+        tw.unit_entry(d, 2, pair)
+
+
 # --- expansion and synthesis ---
 
 def test_expand_picks_out_single_wong_function():

@@ -41,22 +41,22 @@ def rodrigues_hermite(k, x, dps=50):
 
 
 def test_ground_state_at_origin():
-    assert tw.hermite_eval(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-12)
+    assert tw.hermite_batch(0, 0.0)[0] == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
 
 def test_first_excited_is_odd():
-    assert tw.hermite_eval(1, 0.0) == 0.0
+    assert tw.hermite_batch(1, 0.0)[1] == 0.0
 
 
 def test_order_five_matches_high_precision_rodrigues():
     # frozen from the 50-digit oracle above
-    assert tw.hermite_eval(5, 1.3) == pytest.approx(-0.3993914628137508, rel=1e-12)
-    assert tw.hermite_eval(5, 1.3) == pytest.approx(rodrigues_hermite(5, 1.3), rel=1e-12)
+    assert tw.hermite_batch(5, 1.3)[5] == pytest.approx(-0.3993914628137508, rel=1e-12)
+    assert tw.hermite_batch(5, 1.3)[5] == pytest.approx(rodrigues_hermite(5, 1.3), rel=1e-12)
 
 
 def test_negative_order_rejected():
     with pytest.raises(ValueError):
-        tw.hermite_eval(-1, 0.0)
+        tw.hermite_batch(-1, 0.0)
 
 
 def test_recurrence_vs_rodrigues_low_orders():

@@ -62,6 +62,19 @@ def test_boundary_mass_strict_vs_permissive():
         check_boundary(bad, strict=False)
 
 
+@pytest.mark.parametrize("dims", [2, 4])
+def test_boundary_fraction_reads_every_face(dims):
+    n = 16
+    for ax in range(dims):
+        for side in (0, n - 1):
+            values = np.zeros((n,) * dims, dtype=complex)
+            values[(n // 2,) * dims] = -4.0              # the peak, inside the box
+            at = [n // 2] * dims
+            at[ax] = side
+            values[tuple(at)] = 1.0j                     # the only boundary mass, on one face
+            assert tw.GridFunction(dims, L, n, values).boundary_fraction() == 0.25
+
+
 # --- Hermite-Wong functions ---
 
 def test_wong_ground_state_origin():
@@ -91,6 +104,12 @@ def test_wong_index_cap():
 def test_wong_dimension_mismatch():
     with pytest.raises(ValueError):
         tw.hermite_wong_eval(((1, 2), (0,)), L, 64)
+
+
+@pytest.mark.parametrize("pair", [((1.5,), (0,)), ((0, 0, 0), (0, 0, 0))], ids=["non_integral", "d3"])
+def test_wong_pair_rejected(pair):
+    with pytest.raises(ValueError):
+        tw.hermite_wong_eval(pair, L, 16)
 
 
 # --- symplectic Fourier transform ---

@@ -418,9 +418,10 @@ def test_logsumexp_edge_cases_equal_scipy():
 
 
 def test_trace_identity_without_a_nonzero_coefficient():
-    with np.errstate(invalid="ignore"):     # the gap of two -inf logs is nan
-        lhs, rhs, _ = tw.trace_identity_check(np.zeros((2, 5)), 3, d=1, n_max=4)
+    with np.errstate(all="raise"):          # no -inf - -inf on the way to the gap
+        lhs, rhs, gap = tw.trace_identity_check(np.zeros((2, 5)), 3, d=1, n_max=4)
     assert lhs == -np.inf and rhs == -np.inf
+    assert gap == 0.0
 
 
 # --- decay classification ---
@@ -574,6 +575,15 @@ def test_too_few_powers_raise_before_the_psd_test(sign):
         tw.verify_weyl_positive(tw.fsigma_coeff(C), 3)
     with pytest.raises(ValueError, match="n_powers >= 4"):
         verify_matrix_report(C, 3)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["psd", "indefinite"])
+@pytest.mark.parametrize("n_powers, s_tol", [(40, -1.0), (3, 0.15)], ids=["s_tol", "n_powers"])
+def test_weyl_fit_arguments_raise_whatever_the_symbol(sign, n_powers, s_tol):
+    G, _ = tw.random_positive_element(2, 0.5, 1.0, 1, 1, 8)
+    symbol = tw.fsigma_coeff(tw.WongCoeffMatrix(1, 8, sign * G.entries))
+    with pytest.raises(ValueError):
+        tw.verify_weyl_positive(symbol, n_powers, s_tol=s_tol)
 
 
 def test_verify_regularity_theorem_d2():
