@@ -34,8 +34,9 @@ from .phase_space import (
 )
 
 TAIL_THRESHOLD = 1e-8
-# complex elements per FFT block of twisted_apply (16 MB)
-_FFT_BLOCK = 1 << 20
+# complex elements per FFT block of twisted_apply (1 MB); the rows per block
+# depend on n and nfft only, so the rounding is the same on every machine
+_FFT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -175,8 +176,11 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     and a factor on B's samples.  Each output row is then a sum over p of
     linear convolutions along the second axis, done as one contraction over
     p per frequency: O(n^3 log n) time for the factor, O(n^3) per slice.
-    Memory stays at O(n^2 nfft) per block of output rows, plus O(n nfft)
-    per slice.
+    Memory stays at about 1 MB of FFT rows per block of output rows, plus
+    O(n nfft) per slice; the rows m whose shifted samples of a fall off the
+    grid for the whole block are skipped, as their terms are exact zeros.
+    A second factor that is not numeric or holds a non-finite value, and a
+    non-finite result, raise ValueError.
     """
     if a.dims != 2:
         raise ValueError("grid twisted convolution is implemented for d = 1 only")
@@ -186,6 +190,10 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     B = np.asarray(B)
     if B.shape[-2:] != (n, n):
         raise ValueError(f"slices of shape {B.shape[-2:]} do not match the ({n}, {n}) grid")
+    if B.dtype.kind not in "iufc":
+        raise ValueError(f"second factor of dtype {B.dtype} is not numeric")
+    if not np.isfinite(B).all():
+        raise ValueError("second factor must be finite")
     check_boundary(a, strict, what="twisted convolution factor")
     h = (n - 1) // 2
     # only outputs h..3h of each length-(2n-1) linear convolution are kept, so
@@ -193,7 +201,6 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     nfft = _next_fast_len(3 * h + 1)
     E = _dft_kernel(a.box_half_width, n)
     Bs = B.reshape(-1, n, n)
-    Bh = np.fft.fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)  # [f, m, s]
     # a[p, q] e^{-2i x_p x_q} at row p + h between h zero rows on each side,
     # so row i + 2h - m holds p = i + h - m, or zeros where p is off the grid
     ap = np.zeros((2 * n - 1, n), dtype=complex)
@@ -201,14 +208,20 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     rows = np.arange(n)
     out = np.empty(Bs.shape, dtype=complex)
     blk = max(1, _FFT_BLOCK // (n * nfft))
-    for i0 in range(0, n, blk):
-        i = slice(i0, i0 + blk)
-        T = ap[rows[i, None] + 2 * h - rows]                                # [i, m, q]
-        T *= np.conj(E[i, None]) ** 2
-        Th = np.fft.fft(T, nfft, axis=-1).transpose(2, 0, 1)                # [f, i, m]
-        conv = np.fft.ifft(Th @ Bh, axis=0)[h:h + n]                        # [k, i, s]
-        out[:, i] = conv.transpose(2, 1, 0) * E[i]
-    out *= (2.0 / np.pi) ** 0.5 * a.spacing ** 2
+    # an overflow shows as a non-finite result, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        Bh = np.fft.fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)  # [f, m, s]
+        for i0 in range(0, n, blk):
+            i = slice(i0, i0 + blk)
+            m = slice(max(0, i0 - h), min(n, i0 + blk + h))    # rows m with p on the grid
+            T = ap[rows[i, None] + 2 * h - rows[m]]                         # [i, m, q]
+            T *= np.conj(E[i, None]) ** 2
+            Th = np.fft.fft(T, nfft, axis=-1).transpose(2, 0, 1)            # [f, i, m]
+            conv = np.fft.ifft(Th @ Bh[:, m], axis=0)[h:h + n]              # [k, i, s]
+            out[:, i] = conv.transpose(2, 1, 0) * E[i]
+        out *= (2.0 / np.pi) ** 0.5 * a.spacing ** 2
+    if not np.isfinite(out).all():
+        raise ValueError("twisted convolution overflowed: the result is not finite")
     return out.reshape(B.shape)
 
 

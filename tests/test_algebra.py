@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twcalc as tw
+import twcalc.algebra as alg
 from twcalc.algebra import _next_fast_len
 from twcalc.errors import TruncationError
 
@@ -254,10 +255,20 @@ def _decaying(rng, L, n):
     return (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * env
 
 
+def _rows_per_block(monkeypatch, n, rows):
+    # set the FFT budget to give `rows` output rows per block; None keeps the default
+    if rows is not None:
+        monkeypatch.setattr(alg, "_FFT_BLOCK", rows * n * _next_fast_len(3 * ((n - 1) // 2) + 1))
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "rows1", "rows3"])
 @pytest.mark.parametrize("n", [17, 21])
-def test_twisted_apply_matches_brute_force_sum(rng, n):
-    # out[i,k] = c sum_{m,q} a[i-m+h, k-q+h] e^{2i (x_m x_k - x_i x_q)} b[m,q], term by term
-    a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
+def test_twisted_apply_matches_brute_force_sum(rng, n, rows, monkeypatch):
+    _rows_per_block(monkeypatch, n, rows)
+    # out[i,k] = c sum_{m,q} a[i-m+h, k-q+h] e^{2i (x_m x_k - x_i x_q)} b[m,q], term by term;
+    # a has no decaying envelope, so its edge rows, the last each block reads, weigh fully
+    a = tw.GridFunction(2, L, n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     b = _decaying(rng, L, n)
     x = np.linspace(-L, L, n)
     h = (n - 1) // 2
@@ -268,14 +279,16 @@ def test_twisted_apply_matches_brute_force_sum(rng, n):
                          - x[:, None, None, None] * x[None, None, None, :]))
     dx = x[1] - x[0]
     want = (2 / np.pi) ** 0.5 * dx * dx * np.einsum("ikmq,ikmq,mq->ik", shifted, phase, b)
-    got = tw.twisted_apply(a, b)
+    got = tw.twisted_apply(a, b, strict=False)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    dense = (tw.twisted_left_matrix(a) @ b.reshape(-1)).reshape(n, n)
+    dense = (tw.twisted_left_matrix(a, strict=False) @ b.reshape(-1)).reshape(n, n)
     assert np.linalg.norm(dense - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_twisted_apply_stack_equals_slices(rng):
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["default", "rows1", "rows3"])
+def test_twisted_apply_stack_equals_slices(rng, rows, monkeypatch):
     n = 21
+    _rows_per_block(monkeypatch, n, rows)
     a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
     stack = np.stack([[_decaying(rng, L, n) for _ in range(3)] for _ in range(2)])
     got = tw.twisted_apply(a, stack)
@@ -301,6 +314,29 @@ def test_twisted_apply_equals_the_scipy_fft_route_bitwise(rng, n, monkeypatch):
     monkeypatch.setattr(np.fft, "fft", scipy.fft.fft)
     monkeypatch.setattr(np.fft, "ifft", scipy.fft.ifft)
     assert got.tobytes() == tw.twisted_apply(a, B).tobytes()
+
+
+def test_twisted_apply_peaks_below_4_mb_at_n_73(rng):
+    # 8-row blocks of about 1 MB of FFT rows; a single block of all 73 rows takes 15.5 MB
+    n = 73
+    a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
+    b = _decaying(rng, L, n)
+    tracemalloc.start()
+    try:
+        tw.twisted_apply(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("B", [np.full((73, 73), np.nan), np.full((73, 73), 1e308),
+                               np.full((73, 73), "a"), np.full((73, 73), 1.0, dtype=object)],
+                         ids=["nan", "overflow", "str", "object"])
+def test_twisted_apply_rejects_a_non_finite_or_non_numeric_factor(B):
+    a = tw.hermite_wong_eval(((0,), (0,)), L, 73)
+    with np.errstate(all="raise"), pytest.raises(ValueError):
+        tw.twisted_apply(a, B)
 
 
 def test_next_fast_len_equals_scipy():
