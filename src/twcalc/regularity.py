@@ -476,7 +476,12 @@ def verify_matrix_report(C: WongCoeffMatrix, n_powers: int, planted_s: float | N
     The PSD test, then the growth and decay fits, held to planted_s or, without one, to each other.
     """
     _check_fit_args(n_powers, s_tol)
-    pos = is_positive_twisted(C)
+    return _matrix_report(C, is_positive_twisted(C), n_powers, planted_s, seed, s_tol)
+
+
+def _matrix_report(C: WongCoeffMatrix, pos: PositivityResult, n_powers: int,
+                   planted_s: float | None, seed: int | None, s_tol: float) -> dict:
+    """verify_matrix_report once the PSD test of C has given pos."""
     report = {
         "planted_s": planted_s,
         "seed": seed,
@@ -519,13 +524,13 @@ def verify_weyl_positive(C_symbol: WongCoeffMatrix, n_powers: int,
 
     Op(a) >= 0 together with controlled origin growth of T^N (F_s a) puts
     the symbol in the decay class; realized by testing the quantized matrix
-    for PSD and running the theorem harness on F_s a.
+    for PSD and running the theorem harness on F_s a.  The quantized
+    matrix is (2 pi)^{-d/2} F_s a, so its PSD test decides F_s a too and
+    runs once.
     """
     _check_fit_args(n_powers, s_tol)
-    M = weyl_quantize(C_symbol)
-    op = WongCoeffMatrix(C_symbol.d, C_symbol.n_max, M)
-    pos = is_positive_twisted(op)
+    pos = is_positive_twisted(WongCoeffMatrix(C_symbol.d, C_symbol.n_max, weyl_quantize(C_symbol)))
     if not pos:
         return _not_psd_report(pos, "Weyl operator is not positive semi-definite")
-    return {**verify_matrix_report(fsigma_coeff(C_symbol), n_powers, planted_s, None, s_tol),
+    return {**_matrix_report(fsigma_coeff(C_symbol), pos, n_powers, planted_s, None, s_tol),
             "weyl_operator_psd": True}

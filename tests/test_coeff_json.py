@@ -1,10 +1,11 @@
 """The coefficient JSON writer against json.dumps of plain Python rows."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -106,3 +107,187 @@ def test_gen_exits_2_on_non_finite_element(tmp_path, monkeypatch, capsys):
     assert main(["gen", "--n-max", "2", "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- the reader: rows parsed by json in blocks, against the whole-list reader ---
+
+def _coeff_tensor_whole(text, key, rank):
+    """Oracle: the reader that parses the whole text with one json.loads, verbatim."""
+    obj = json.loads(text)
+    try:
+        d, n_max, rows = obj["d"], obj["n_max"], obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coefficient JSON needs integers d, n_max and a list {key}: {exc!r}") from None
+    if type(d) is not int or type(n_max) is not int or d not in (1, 2) or n_max < 0 \
+            or type(rows) is not list:
+        raise ValueError(f"coefficient JSON has d={d!r}, n_max={n_max!r} and a {type(rows).__name__} "
+                         f"{key}; need integers d in {{1, 2}}, n_max >= 0 and a list")
+    k = rank * d
+    try:
+        arr = np.array(rows) if rows else np.empty((0, k + 2))
+        if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if":
+            raise ValueError
+        # numpy casts a bool among numbers to 0/1; the per-value scan runs only if JSON has one
+        if ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
+    del obj, rows                   # the parsed rows dominate peak memory; free them before T
+    idx = arr[:, :k]
+    bad = ~np.all((idx >= 0) & (idx <= n_max) & (idx == np.floor(idx)), axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{key}[{i}] = {arr[i].tolist()} has an index that is not an integer in 0..{n_max}")
+    T = np.zeros((n_max + 1,) * k, dtype=complex)
+    at = tuple(idx.astype(np.intp).T)
+    T.real[at] = arr[:, k]          # part by part, so signed zeros survive
+    T.imag[at] = arr[:, k + 1]
+    return d, n_max, T
+
+
+def _outcome(reader, text, key, rank):
+    try:
+        d, n_max, T = reader(text, key, rank)
+    except ValueError as exc:
+        return str(exc)
+    return d, n_max, T.shape, T.tobytes()
+
+
+_KEY = {1: "coeffs", 2: "entries"}
+_PART_TOKENS = ["0", "-0", "0.0", "-0.0", "1E2", "2", "-7", "0.1", "-2.5e-3", "1e308", "5e-324",
+                str(10 ** 20), str(10 ** 400), "1e400", "NaN", "Infinity", "-Infinity"]
+_INDEX_TOKENS = ["-0", "1E0", "2.0", "1.5", "-1", "4", "NaN", str(10 ** 20), "true"]
+_ODD_ITEMS = ["true", "false", "null", '"x"', '"], ["', '"]]"', '"]\\n ,\\t["', "[1, 2]", "[]", '{"]]": 0}']
+_ROW_GAPS = [", ", ",", "\n, ", ",\n ", " ,\t"]
+
+
+def _rarely(common, rare):
+    """common, or rare once in eight draws."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 7 else common)
+
+
+@st.composite
+def _token_rows(draw, k, n_max):
+    """Rows text from JSON tokens json.dumps never writes, with now and then a bad item or width."""
+    index = _rarely(st.integers(0, n_max).map(str), st.sampled_from(_INDEX_TOKENS))
+    part = _rarely(st.sampled_from(_PART_TOKENS), st.sampled_from(_ODD_ITEMS))
+    width = _rarely(st.just(k + 2), st.sampled_from([k + 1, k + 3]))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        items = [draw(index) for _ in range(k)] + [draw(part), draw(part)]
+        items = (items + [draw(part)])[:draw(width)]
+        rows.append("[" + draw(st.sampled_from([", ", ",", " ,\n  "])).join(items) + "]")
+    ws = st.sampled_from(["", " ", "\n "])
+    return "[" + draw(ws) + draw(st.sampled_from(_ROW_GAPS)).join(rows) + draw(ws) + "]"
+
+
+@st.composite
+def coeff_texts(draw):
+    """(text, key, rank): writer output, re-dumped writer output, or JSON built from tokens."""
+    rank, d, n_max = draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2])), draw(st.integers(0, 3))
+    key, k = _KEY[rank], rank * d
+    part = _signed([0.0, 5e-324, 0.1, 1.0 / 3.0, 2.0, 1e16, 1.7976931348623157e308])
+    T = draw(hnp.arrays(complex, (n_max + 1,) * k, elements=st.builds(complex, part, part), fill=st.just(0j)))
+    if rank == 2:
+        side = (n_max + 1) ** d
+        text = tw.wong_to_json(tw.WongCoeffMatrix(d, n_max, T.reshape(side, side)),
+                               {"config": {"note": "]], [[1, 2]], [", "n_max": 9}, "version": "0"})
+    else:
+        text = tw.coeff_vector_to_json(tw.HermiteCoeffVector(d, n_max, T))
+    source = draw(st.sampled_from(["writer", "dumps", "tokens"]))
+    if source == "dumps":
+        items = draw(st.permutations(list(json.loads(text).items())))
+        layout = draw(st.sampled_from([{"indent": 1}, {"separators": (",", ":")},
+                                       {"separators": (" ,", " : ")}, {"indent": "\t"}]))
+        text = json.dumps(dict(items), **layout)
+    elif source == "tokens":
+        members = [("d", draw(_rarely(st.just(str(d)), st.sampled_from(["true", "3", "1.0", "-1"])))),
+                   ("n_max", draw(_rarely(st.just(str(n_max)), st.sampled_from(["-1", "2.0", "null"])))),
+                   (key, draw(_token_rows(k, n_max)))]
+        other = draw(st.sampled_from(["", "valid", '[[0, 0, "x", 0]]', "[1, 2]", "{}", "null", '"]], ["']))
+        if other:
+            # a second key: json keeps the last value, whichever of the two is valid
+            members.append((key, draw(_token_rows(k, n_max)) if other == "valid" else other))
+        members.append(("config", '{"note": "]], [[", "rows": [[0, 1]]}'))
+        members = draw(st.permutations(members))
+        colon = draw(st.sampled_from([": ", ":", " :\n"]))
+        text = "{" + draw(st.sampled_from([", ", ",", "\n,\t"])).join(
+            json.dumps(name) + colon + value for name, value in members) + "}"
+    prefix = draw(_rarely(st.sampled_from(["", " \n"]), st.just("\ufeff")))
+    return prefix + text + draw(_rarely(st.sampled_from(["", "\n"]), st.sampled_from([" x", "]", "{}"]))), key, rank
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=coeff_texts(), block=st.integers(16, 64))
+# a bool after a block of numbers, an int beyond int64 in a block of ints, a valid value then an invalid one
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 0, "entries": [[0, 0, 1.0, 0.0]], "entries": [[0, 0, "x", 0]]}', "entries", 2), 16)
+def test_block_reader_equals_whole_list_reader(case, block):
+    # blocks of 16-64 characters, so the rows of one text span many of them
+    text, key, rank = case
+    expected = _outcome(_coeff_tensor_whole, text, key, rank)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermite, "_TEXT_BLOCK", block)
+        assert _outcome(hermite._coeff_tensor, text, key, rank) == expected
+
+
+@pytest.mark.parametrize("block", [16, 1000, None], ids=["16", "1000", "default"])
+def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
+    C, _ = tw.random_positive_element(3, 0.5, default_planted_rate(0.5, 6, 20), 3, d=2, n_max=6)
+    text = tw.wong_to_json(C, {"config": {}, "version": tw.__version__})
+    if block:
+        monkeypatch.setattr(hermite, "_TEXT_BLOCK", block)
+    rows = hermite._walk_object(text, "entries")["entries"]
+    sizes = [len(arr) for arr in rows]
+    assert type(rows) is hermite._RowBlocks and sum(sizes) == np.count_nonzero(C.entries)
+    # every block holds whole rows and, but for the last, at least _TEXT_BLOCK characters
+    if block == 16:
+        assert max(sizes) == 1          # each row is longer than 16 characters
+    elif block == 1000:
+        assert 1 < len(sizes) <= len(text) // 1000 + 1
+    else:
+        assert len(sizes) == 1
+    assert _outcome(hermite._coeff_tensor, text, "entries", 2) == _outcome(_coeff_tensor_whole, text, "entries", 2)
+
+
+def test_bad_index_is_named_by_its_row_in_the_file(monkeypatch):
+    # blocks of one or two rows: the bad row's block holds ints only, the file's other rows floats
+    monkeypatch.setattr(hermite, "_TEXT_BLOCK", 16)
+    rows = [[0, 0, 0.5, 0.0]] * 20 + [[0, 9, 1, 0], [0, 1, 2, 0], [1, 0, 3, 0]]
+    text = json.dumps({"d": 1, "n_max": 2, "entries": rows})
+    message = _outcome(hermite._coeff_tensor, text, "entries", 2)
+    assert message == "entries[20] = [0.0, 9.0, 1.0, 0.0] has an index that is not an integer in 0..2"
+    assert message == _outcome(_coeff_tensor_whole, text, "entries", 2)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced while fn(*args) runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _dense_d2(n_max):
+    """A d=2 matrix with every entry nonzero and nearly every magnitude distinct."""
+    rng = np.random.default_rng(1)
+    side = (n_max + 1) ** 2
+    return tw.WongCoeffMatrix(2, n_max, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+
+
+def test_reader_peak_stays_below_twice_its_text(monkeypatch):
+    # 362 kB of rows in blocks of 16 k characters; the whole-list reader peaks at 4.6 x the text
+    monkeypatch.setattr(hermite, "_TEXT_BLOCK", 1 << 14)
+    text = tw.wong_to_json(_dense_d2(8))
+    assert _traced_peak(tw.wong_from_json, text) < 2.0 * len(text)
+
+
+def test_writer_peak_stays_below_three_times_its_text(monkeypatch):
+    # 1.6 MB of rows in buffers of 2048 rows; with whole-matrix index and value copies it peaks at 3.7 x
+    monkeypatch.setattr(hermite, "_ROW_BLOCK", 2048)
+    C = _dense_d2(12)
+    size = len(tw.wong_to_json(C))
+    assert _traced_peak(tw.wong_to_json, C) < 3.0 * size

@@ -586,6 +586,36 @@ def test_weyl_fit_arguments_raise_whatever_the_symbol(sign, n_powers, s_tol):
         tw.verify_weyl_positive(symbol, n_powers, s_tol=s_tol)
 
 
+def _weyl_report_two_psd_tests(C_symbol, n_powers, planted_s=None, s_tol=0.15):
+    """Oracle: verify_weyl_positive as it was, testing the quantized matrix and then F_s a."""
+    from twcalc.regularity import _not_psd_report, is_positive_twisted
+    M = tw.weyl_quantize(C_symbol)
+    op = tw.WongCoeffMatrix(C_symbol.d, C_symbol.n_max, M)
+    pos = is_positive_twisted(op)
+    if not pos:
+        return _not_psd_report(pos, "Weyl operator is not positive semi-definite")
+    return {**verify_matrix_report(tw.fsigma_coeff(C_symbol), n_powers, planted_s, None, s_tol),
+            "weyl_operator_psd": True}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["psd", "indefinite"])
+def test_weyl_report_equals_two_test_report_with_one_psd_test(monkeypatch, sign):
+    r = default_planted_rate(0.5, 8, 20)
+    G, _ = tw.random_positive_element(3, 0.5, r, seed=5, d=2, n_max=8)
+    symbol = tw.fsigma_coeff(tw.WongCoeffMatrix(2, 8, sign * G.entries))
+    expected = _weyl_report_two_psd_tests(symbol, 20, planted_s=0.5)
+    calls = []
+
+    def counted(C, *args):
+        calls.append(C)
+        return tw.is_positive_twisted(C, *args)
+
+    monkeypatch.setattr("twcalc.regularity.is_positive_twisted", counted)
+    assert tw.verify_weyl_positive(symbol, 20, planted_s=0.5) == expected
+    assert len(calls) == 1
+    assert expected["pass"] is (sign > 0)
+
+
 def test_verify_regularity_theorem_d2():
     report = tw.verify_regularity_theorem(0.5, rank=3, seed=2, n_powers=20, d=2, n_max=16)
     assert report["pass"]
