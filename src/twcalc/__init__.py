@@ -20,8 +20,6 @@ from .hermite import (
     HermiteCoeffVector,
     QuadratureRule,
     apply_H_coeff,
-    coeff_vector_from_json,
-    coeff_vector_to_json,
     gauss_hermite_rule,
     hermite_batch,
     multi_indices,
@@ -33,11 +31,10 @@ from .phase_space import (
     hermite_wong_eval,
     inverse_kernel_map_grid,
     kernel_map_A_grid,
-    read_grid,
     symplectic_fourier,
     wigner,
-    write_grid,
 )
+from .formats import coeff_vector_from_json, coeff_vector_to_json, read_grid, write_grid
 from .algebra import (
     WongCoeffMatrix,
     expand,

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .hermite import (
-    _ROWS,
-    _coeff_rows_json,
-    _coeff_tensor,
-    _json_object,
-    hermite_batch,
-    index_totals,
-)
+from .formats import matrix_from_json, matrix_to_json
+from .hermite import hermite_batch, index_totals
 from .phase_space import (
     GridFunction,
     _dft_kernel,
@@ -60,10 +54,6 @@ class WongCoeffMatrix:
             raise ValueError(f"entries shape {self.entries.shape} != {(side, side)}")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("entries must be finite")
-
-    @property
-    def side(self) -> int:
-        return (self.n_max + 1) ** self.d
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
@@ -296,12 +286,9 @@ def weyl_product(Ca: WongCoeffMatrix, Cb: WongCoeffMatrix) -> WongCoeffMatrix:
 
 def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
     """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}, zeros omitted."""
-    rows = _coeff_rows_json(C.entries.reshape((C.n_max + 1,) * (2 * C.d)))
-    return _json_object({"d": C.d, "n_max": C.n_max, "entries": _ROWS, **(meta or {})}, rows, sort_keys=True)
+    return matrix_to_json(C.d, C.n_max, C.entries, meta)
 
 
 def wong_from_json(text: str) -> WongCoeffMatrix:
     """Parse the wong_to_json form; malformed input raises ValueError."""
-    d, n_max, T = _coeff_tensor(text, "entries", 2)
-    side = (n_max + 1) ** d
-    return WongCoeffMatrix(d, n_max, T.reshape(side, side))
+    return WongCoeffMatrix(*matrix_from_json(text))

@@ -22,12 +22,8 @@ from .algebra import (
     wong_to_json,
 )
 from .errors import TwcError
-from .hermite import (
-    HermiteCoeffVector,
-    coeff_vector_to_json,
-    gauss_hermite_rule,
-    hermite_batch,
-)
+from .formats import coeff_vector_to_json, write_files
+from .hermite import HermiteCoeffVector, gauss_hermite_rule, hermite_batch
 from .oscillators import apply_h_sigma_grid
 from .phase_space import hermite_wong_eval
 from .regularity import (
@@ -44,18 +40,10 @@ def _config_dict(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows, config):
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps({"config": config, "version": __version__}, sort_keys=True) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row) + "\n")
+def _csv_text(header, rows, config) -> list[str]:
+    lines = ["# " + json.dumps({"config": config, "version": __version__}, sort_keys=True), ",".join(header)]
+    lines += [",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return [line + "\n" for line in lines]
 
 
 def cmd_gen(args) -> int:
@@ -66,18 +54,14 @@ def cmd_gen(args) -> int:
         config["planted_r"] = planted_r
     C, vectors = random_positive_element(
         args.rank, args.planted_s, planted_r, args.seed, args.d, args.n_max, args.flavor)
-    text = wong_to_json(C, {"config": config, "version": __version__})
-    with open(args.out, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    files = [(args.out, [wong_to_json(C, {"config": config, "version": __version__}), "\n"])]
     if args.vectors_out:
-        entries = []
-        for vec in vectors:
-            coeffs = vec.reshape((args.n_max + 1,) * args.d)
-            f = HermiteCoeffVector(args.d, args.n_max, coeffs)
-            entries.append(json.loads(coeff_vector_to_json(f)))
-        _write_json(args.vectors_out, {"config": config, "version": __version__,
-                                       "vectors": entries})
+        shape = (args.n_max + 1,) * args.d
+        entries = [json.loads(coeff_vector_to_json(HermiteCoeffVector(args.d, args.n_max, v.reshape(shape))))
+                   for v in vectors]
+        obj = {"config": config, "version": __version__, "vectors": entries}
+        files.append((args.vectors_out, [json.dumps(obj, sort_keys=True, indent=1), "\n"]))
+    write_files(files)
     return 0
 
 
@@ -90,9 +74,7 @@ def cmd_compose(args) -> int:
             mats.append(wong_from_json(fh.read()))
     out = twisted_convolution_coeff(mats[0], mats[1])
     text = wong_to_json(out, {"config": {"inputs": list(args.inputs)}, "version": __version__})
-    with open(args.out, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_files([(args.out, [text, "\n"])])
     return 0
 
 
@@ -114,10 +96,12 @@ def cmd_verify(args) -> int:
     report["config"] = config
     report["version"] = __version__
     growth = report.pop("growth_log_values", None)
-    _write_json(args.out, report)
+    files = [(args.out, [json.dumps(report, sort_keys=True, indent=1), "\n"])]
     if growth is not None:
         rows = [(N, float(g)) for N, g in enumerate(growth)]
-        _write_csv(os.path.splitext(args.out)[0] + "_growth.csv", ["N", "log_g_N"], rows, config)
+        growth_path = os.path.splitext(args.out)[0] + "_growth.csv"
+        files.append((growth_path, _csv_text(["N", "log_g_N"], rows, config)))
+    write_files(files)
     if not report["pass"]:
         print("verify: FAIL " + report.get("reason", "estimates disagree"), file=sys.stderr)
         return 1
@@ -173,8 +157,8 @@ def cmd_tables(args) -> int:
                                  "growth_residual", "decay_residual", "pass"], rows)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(args.out_dir, name), header, rows, config)
+    write_files([(os.path.join(args.out_dir, name), _csv_text(header, rows, config))
+                  for name, (header, rows) in tables.items()])
     return 0
 
 

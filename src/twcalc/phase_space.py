@@ -19,8 +19,6 @@ below the boundary threshold at |x| = L, so the sums converge spectrally.
 
 from __future__ import annotations
 
-import json
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,8 +30,6 @@ from .hermite import hermite_batch
 
 BOUNDARY_THRESHOLD = 1e-8
 MAX_WONG_INDEX = 32
-
-MAGIC = b"TWCG"
 
 
 @dataclass
@@ -356,39 +352,3 @@ def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
         raise ValueError("inverse_kernel_map_grid expects dims 2 or 4")
     pair_map = _inverse_pair_map(K.box_half_width, K.points_per_axis)
     return GridFunction(K.dims, K.box_half_width, K.points_per_axis, _each_pair(K.values, pair_map))
-
-
-def write_grid(path, f: GridFunction):
-    """Binary layout: magic, dims u32, L f64, points u32, then complex64 row-major.
-
-    A JSON sidecar at ``path + '.json'`` repeats the header for tooling.  Values
-    beyond the complex64 range raise ValueError before any file is opened.
-    """
-    header = MAGIC + struct.pack("<IdI", f.dims, f.box_half_width, f.points_per_axis)
-    with np.errstate(over="ignore"):
-        values = np.ascontiguousarray(f.values.astype(np.complex64))
-    if not np.isfinite(values).all():
-        raise ValueError("grid values overflow complex64")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(values.tobytes())
-    with open(str(path) + ".json", "w") as fh:
-        json.dump({"dims": f.dims, "L": f.box_half_width, "points_per_axis": f.points_per_axis}, fh)
-
-
-def read_grid(path) -> GridFunction:
-    """Read the write_grid layout; a bad magic, short header or wrong payload size raises ValueError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ValueError(f"not a grid file: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError(f"grid header has {len(header)} of 16 bytes")
-        dims, L, n = struct.unpack("<IdI", header)
-        payload = fh.read()
-    # n >= 2 gives n^dims >= 2^dims, so a dims past the payload's bit length cannot match it
-    if dims > len(payload).bit_length() or len(payload) != 8 * n ** dims:
-        raise ValueError(f"grid payload has {len(payload)} bytes, not 8 per point of a ({n},)*{dims} grid")
-    values = np.frombuffer(payload, dtype=np.complex64).reshape((n,) * dims).astype(complex)
-    return GridFunction(dims, L, n, values)

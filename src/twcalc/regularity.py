@@ -170,7 +170,7 @@ def witness_function(C: WongCoeffMatrix, witness: np.ndarray,
     For psi of this form, (a *s psi, psi) = <C w, w>, so a negative
     eigendirection shows up as a negative grid pairing.
     """
-    side = C.side
+    side = C.entries.shape[0]
     W = np.zeros((side, side), dtype=complex)
     W[:, 0] = witness
     return synthesize(WongCoeffMatrix(C.d, C.n_max, W), box_half_width, points_per_axis)

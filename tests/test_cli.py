@@ -187,6 +187,22 @@ def test_directory_path_exits_2(tmp_path, monkeypatch, argv):
     assert run(argv) == 2
 
 
+@pytest.mark.parametrize("argv, present", [
+    (["gen", "--n-max", 4, "--out", "C.json", "--vectors-out", "nodir/V.json"], []),
+    (["gen", "--n-max", 4, "--out", "nodir/C.json", "--vectors-out", "V.json"], []),
+    (["verify", "--n-max", 4, "--N-max", 8, "--out", "r.json"], ["r_growth.csv/"]),
+    (["gen", "--n-max", 4, "--out", "keep.json", "--vectors-out", "nodir/V.json"], ["keep.json"]),
+], ids=["gen-vectors-out", "gen-out", "verify-growth-csv", "gen-existing-out"])
+def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, argv, present):
+    # every output text is built before any file is opened, and a failed open or
+    # write removes the files the command created; a file that was there stays
+    monkeypatch.chdir(tmp_path)
+    for name in present:
+        (tmp_path / name).mkdir() if name.endswith("/") else (tmp_path / name).write_text("{}")
+    assert run(argv) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name.rstrip("/") for name in present)
+
+
 def test_verify_input_records_the_matrix_config(tmp_path):
     src, out = tmp_path / "C.json", tmp_path / "report.json"
     assert run(["gen", "--d", 2, "--n-max", 4, "--out", src]) == 0

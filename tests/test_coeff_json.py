@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import twcalc as tw
-from twcalc import hermite
+from twcalc import formats
 from twcalc.cli import main
-from twcalc.hermite import _coeff_rows_json
+from twcalc.formats import _coeff_rows_json
 from twcalc.regularity import default_planted_rate
 
 
@@ -53,7 +53,7 @@ def test_writer_equals_json_dumps_of_rows(data, d, n_max, rank):
 
 def test_writer_across_row_blocks(rng, monkeypatch):
     # blocks of 7 rows, so the joins between blocks and the cut after the last row are exercised
-    monkeypatch.setattr(hermite, "_ROW_BLOCK", 7)
+    monkeypatch.setattr(formats, "_ROW_BLOCK", 7)
     T = rng.normal(size=(4, 4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4, 4))
     T[rng.random(T.shape) < 0.4] = 0.0
     T.imag[rng.random(T.shape) < 0.3] = -0.0
@@ -228,8 +228,8 @@ def test_block_reader_equals_whole_list_reader(case, block):
     text, key, rank = case
     expected = _outcome(_coeff_tensor_whole, text, key, rank)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hermite, "_TEXT_BLOCK", block)
-        assert _outcome(hermite._coeff_tensor, text, key, rank) == expected
+        mp.setattr(formats, "_TEXT_BLOCK", block)
+        assert _outcome(formats._coeff_tensor, text, key, rank) == expected
 
 
 @pytest.mark.parametrize("block", [16, 1000, None], ids=["16", "1000", "default"])
@@ -237,10 +237,10 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
     C, _ = tw.random_positive_element(3, 0.5, default_planted_rate(0.5, 6, 20), 3, d=2, n_max=6)
     text = tw.wong_to_json(C, {"config": {}, "version": tw.__version__})
     if block:
-        monkeypatch.setattr(hermite, "_TEXT_BLOCK", block)
-    rows = hermite._walk_object(text, "entries")["entries"]
+        monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
+    rows = formats._walk_object(text, "entries")["entries"]
     sizes = [len(arr) for arr in rows]
-    assert type(rows) is hermite._RowBlocks and sum(sizes) == np.count_nonzero(C.entries)
+    assert type(rows) is formats._RowBlocks and sum(sizes) == np.count_nonzero(C.entries)
     # every block holds whole rows and, but for the last, at least _TEXT_BLOCK characters
     if block == 16:
         assert max(sizes) == 1          # each row is longer than 16 characters
@@ -248,15 +248,15 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
         assert 1 < len(sizes) <= len(text) // 1000 + 1
     else:
         assert len(sizes) == 1
-    assert _outcome(hermite._coeff_tensor, text, "entries", 2) == _outcome(_coeff_tensor_whole, text, "entries", 2)
+    assert _outcome(formats._coeff_tensor, text, "entries", 2) == _outcome(_coeff_tensor_whole, text, "entries", 2)
 
 
 def test_bad_index_is_named_by_its_row_in_the_file(monkeypatch):
     # blocks of one or two rows: the bad row's block holds ints only, the file's other rows floats
-    monkeypatch.setattr(hermite, "_TEXT_BLOCK", 16)
+    monkeypatch.setattr(formats, "_TEXT_BLOCK", 16)
     rows = [[0, 0, 0.5, 0.0]] * 20 + [[0, 9, 1, 0], [0, 1, 2, 0], [1, 0, 3, 0]]
     text = json.dumps({"d": 1, "n_max": 2, "entries": rows})
-    message = _outcome(hermite._coeff_tensor, text, "entries", 2)
+    message = _outcome(formats._coeff_tensor, text, "entries", 2)
     assert message == "entries[20] = [0.0, 9.0, 1.0, 0.0] has an index that is not an integer in 0..2"
     assert message == _outcome(_coeff_tensor_whole, text, "entries", 2)
 
@@ -280,14 +280,14 @@ def _dense_d2(n_max):
 
 def test_reader_peak_stays_below_twice_its_text(monkeypatch):
     # 362 kB of rows in blocks of 16 k characters; the whole-list reader peaks at 4.6 x the text
-    monkeypatch.setattr(hermite, "_TEXT_BLOCK", 1 << 14)
+    monkeypatch.setattr(formats, "_TEXT_BLOCK", 1 << 14)
     text = tw.wong_to_json(_dense_d2(8))
     assert _traced_peak(tw.wong_from_json, text) < 2.0 * len(text)
 
 
 def test_writer_peak_stays_below_three_times_its_text(monkeypatch):
     # 1.6 MB of rows in buffers of 2048 rows; with whole-matrix index and value copies it peaks at 3.7 x
-    monkeypatch.setattr(hermite, "_ROW_BLOCK", 2048)
+    monkeypatch.setattr(formats, "_ROW_BLOCK", 2048)
     C = _dense_d2(12)
     size = len(tw.wong_to_json(C))
     assert _traced_peak(tw.wong_to_json, C) < 3.0 * size

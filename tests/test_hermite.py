@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 import twcalc as tw
@@ -80,6 +81,16 @@ def test_two_point_rule():
     rule = tw.gauss_hermite_rule(2)
     np.testing.assert_allclose(rule.nodes, [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
     np.testing.assert_allclose(rule.weights, [np.sqrt(np.pi) / 2] * 2, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [*range(2, 69), 128, 256, 511, 512])
+def test_rule_equals_eigh_tridiagonal_bitwise(n):
+    # every size tables and default_node_count use at small n_max, and the largest rules
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    nodes, vecs = eigh_tridiagonal(np.zeros(n), off)
+    rule = tw.gauss_hermite_rule(n)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, np.sqrt(np.pi) * vecs[0] ** 2)
 
 
 @pytest.mark.parametrize("n", [1, 3, 17, 96, 512])

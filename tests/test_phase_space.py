@@ -1,3 +1,4 @@
+import errno
 import struct
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import twcalc as tw
+from twcalc import formats
 from twcalc.errors import GridMismatchError, TruncationError
 from twcalc.phase_space import check_boundary
 
@@ -301,11 +303,36 @@ def test_grid_binary_round_trip(tmp_path):
     assert back.dims == 2 and back.box_half_width == L and back.points_per_axis == 64
     # storage is complex64: single-precision round trip
     assert np.max(np.abs(back.values - r.values)) < 1e-6
-    sidecar = (str(path) + ".json")
-    import json
-    with open(sidecar) as fh:
-        head = json.load(fh)
-    assert head == {"dims": 2, "L": L, "points_per_axis": 64}
+    assert list(tmp_path.iterdir()) == [path]
+
+
+class _FullDisk:
+    """A file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, pieces):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_grid_write_leaves_no_file(tmp_path, monkeypatch):
+    # write_grid writes one file, so a directory at the path + ".json" a sidecar would take does not fail it
+    path = tmp_path / "grid.twc"
+    (tmp_path / "grid.twc.json").mkdir()
+    tw.write_grid(path, tw.hermite_wong_eval(((0,), (0,)), L, 16))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.twc", "grid.twc.json"]
+    path.unlink()
+    monkeypatch.setattr(formats, "open", lambda *a: _FullDisk(open(*a)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        tw.write_grid(path, tw.hermite_wong_eval(((0,), (0,)), L, 16))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.twc.json"]
 
 
 @pytest.mark.parametrize("value", [1e39 + 0j, 1j * -1e39], ids=["real", "imag"])
