@@ -4,6 +4,7 @@ Wong matrices ("entries", behind algebra.wong_to_json/wong_from_json), and binar
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -289,14 +290,23 @@ def read_grid(path) -> GridFunction:
 
 
 def write_files(files, mode: str = "w"):
-    """Write each (path, pieces) in turn; if one fails, remove the files this call created."""
+    """Write each (path, pieces); if one fails, remove the files this call created.
+
+    Every path is opened, without truncating, before any is truncated, so a
+    path that cannot be opened leaves every existing file as it was.
+    """
     created = []
     try:
-        for path, pieces in files:
-            new = not os.path.lexists(path)
-            with open(path, mode) as fh:
+        with contextlib.ExitStack() as stack:
+            opened = []
+            for path, pieces in files:
+                new = not os.path.lexists(path)
+                opened.append((path, stack.enter_context(open(path, mode.replace("w", "a"))), pieces))
                 if new:
                     created.append(path)
+            for path, fh, pieces in opened:
+                if os.path.getsize(path):       # a pipe or terminal reads 0 and cannot be truncated
+                    os.truncate(path, 0)
                 fh.writelines(pieces)
     except BaseException:
         for path in created:

@@ -394,8 +394,12 @@ def test_weyl_homomorphism(rng):
     assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_weyl_product_associative(rng):
-    mats = [tw.WongCoeffMatrix(1, 4, rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), n_max=st.integers(0, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_weyl_product_associative(d, n_max, seed):
+    rng = np.random.default_rng(seed)
+    side = (n_max + 1) ** d
+    mats = [tw.WongCoeffMatrix(d, n_max, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
             for _ in range(3)]
     left = tw.weyl_product(tw.weyl_product(mats[0], mats[1]), mats[2])
     right = tw.weyl_product(mats[0], tw.weyl_product(mats[1], mats[2]))

@@ -194,13 +194,16 @@ def test_directory_path_exits_2(tmp_path, monkeypatch, argv):
     (["gen", "--n-max", 4, "--out", "keep.json", "--vectors-out", "nodir/V.json"], ["keep.json"]),
 ], ids=["gen-vectors-out", "gen-out", "verify-growth-csv", "gen-existing-out"])
 def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, argv, present):
-    # every output text is built before any file is opened, and a failed open or
-    # write removes the files the command created; a file that was there stays
+    # every output text is built before any file is opened, every file is opened before
+    # any is truncated, and a failed open or write removes the files the command created;
+    # a file that was there stays as it was
     monkeypatch.chdir(tmp_path)
     for name in present:
         (tmp_path / name).mkdir() if name.endswith("/") else (tmp_path / name).write_text("{}")
     assert run(argv) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name.rstrip("/") for name in present)
+    for name in present:
+        assert name.endswith("/") or (tmp_path / name).read_text() == "{}"
 
 
 def test_verify_input_records_the_matrix_config(tmp_path):
@@ -230,13 +233,24 @@ def test_tables_emit_documented_columns(tmp_path):
         assert len(lines) > 2
 
 
-def test_tables_rerun_is_byte_identical(tmp_path):
-    d1, d2 = tmp_path / "t1", tmp_path / "t2"
-    for d in (d1, d2):
-        assert run(["tables", "--n-max", 12, "--N-max", 8, "--seed", 5,
-                    "--grid-n", 128, "--out-dir", d]) == 0
-    for name in ("hermite_orthonormality.csv", "growth_fit.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+@pytest.mark.parametrize("argv, outputs", [
+    (["tables", "--n-max", 12, "--N-max", 8, "--seed", 5, "--grid-n", 128, "--out-dir", "."],
+     ["hermite_orthonormality.csv", "growth_sequence.csv", "growth_fit.csv"]),
+    (["verify", "--d", 2, "--n-max", 8, "--N-max", 12, "--seed", 5, "--out", "r.json"],
+     ["r.json", "r_growth.csv"]),
+    (["verify", "--in", "../C.json", "--N-max", 12, "--out", "r.json"], ["r.json", "r_growth.csv"]),
+], ids=["tables", "verify", "verify-in"])
+def test_tables_rerun_is_byte_identical(tmp_path, monkeypatch, argv, outputs):
+    # the growth-fit outputs: the tables' fit CSVs and verify's report and growth CSV
+    assert run(["gen", "--d", 2, "--n-max", 6, "--seed", 5, "--out", tmp_path / "C.json"]) == 0
+    codes = []
+    for name in ("run1", "run2"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        codes.append(run(argv))
+    assert codes[0] == codes[1] and codes[0] in (0, 1)
+    for name in outputs:
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
 
 def test_verify_reads_planted_r_as_gen_does(tmp_path):

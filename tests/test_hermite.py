@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 import twcalc as tw
 from twcalc.errors import ResolutionError
@@ -148,7 +147,7 @@ def test_projection_of_shifted_gaussian_matches_coherent_expansion():
     f = tw.GridFunction(1, 8.0, 512, vals + 0j)
     got = tw.project_to_hermite(f, n_max).coeffs
     k = np.arange(n_max + 1)
-    want = np.exp(-a * a / 4) * (a / np.sqrt(2)) ** k / np.sqrt(np.exp(gammaln(k + 1.0)))
+    want = np.exp(-a * a / 4) * (a / np.sqrt(2)) ** k / np.sqrt([math.factorial(j) for j in k])
     np.testing.assert_allclose(got, want, atol=1e-10)
     rule = tw.gauss_hermite_rule(10 * default_node_count(n_max) // 4)
     hs = tw.hermite_batch(n_max, rule.nodes)

@@ -1,10 +1,13 @@
+import math
+import warnings
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import gammaln, logsumexp
 
 import twcalc as tw
 from twcalc.hermite import index_totals, oscillator_eigenvalues
@@ -12,7 +15,6 @@ from twcalc.regularity import (
     PSD_TOL,
     _envelope_points,
     _hermitian_part,
-    _log_factorial,
     _logsumexp,
     _shifted_cholesky_succeeds,
     default_planted_rate,
@@ -317,7 +319,7 @@ def growth_by_power(C, n_powers):
         if not np.any(keep):
             logs[N] = -np.inf
             continue
-        total, sign = logsumexp(terms[keep], b=np.sign(diag)[keep], return_sign=True)
+        total, sign = _logsumexp(terms[keep], np.sign(diag)[keep])
         logs[N] = float(base + total) if sign > 0 else (-np.inf if sign == 0 else np.nan)
     return logs
 
@@ -368,53 +370,78 @@ def test_envelope_tie_goes_to_the_first_entry():
         np.testing.assert_array_equal(g, w)
 
 
-# --- numpy ports of the scipy.special functions the fits use ---
+# --- the fits' log-sum-exp and log N!, against mpmath at 50 digits ---
 
-def test_log_factorial_equals_gammaln_bitwise():
-    Ns = np.arange(20001)
-    got = np.array([_log_factorial(int(N)) for N in Ns])
-    assert got.tobytes() == gammaln(Ns + 1.0).tobytes()
+EPS = np.finfo(float).eps
+
+
+def _exact_logsumexp(a, b):
+    """(log|sum b e^a|, its sign, sum e^a / |sum b e^a|) at 50 digits; (None, 0, inf) if it cancels."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(float(w) * mpmath.exp(float(x)) for x, w in zip(a, b))
+        if total == 0:
+            return None, 0.0, math.inf
+        kappa = mpmath.fsum(mpmath.exp(float(x)) for x in a) / abs(total)
+        return mpmath.log(abs(total)), math.copysign(1.0, total), float(kappa)
 
 
 # few distinct values, so ties at the maximum and sums that cancel are common
-_LSE_VALUES = st.one_of(st.sampled_from([-np.inf, -3.0, 0.0, 0.5, 2.0, 700.0]),
-                        st.floats(-800.0, 800.0))
+_LSE_VALUES = st.one_of(st.sampled_from([-3.0, 0.0, 0.5, 2.0, 700.0]), st.floats(-800.0, 800.0))
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), rows=st.sampled_from([None, 1, 2, 4]), cols=st.integers(1, 8),
        weights=st.sampled_from(["unit", "row", "full"]))
-def test_logsumexp_equals_scipy_bitwise(data, rows, cols, weights):
+def test_logsumexp_matches_mpmath(data, rows, cols, weights):
     shape = (cols,) if rows is None else (rows, cols)
     a = data.draw(hnp.arrays(float, shape, elements=_LSE_VALUES))
     if weights == "unit":
-        # as trace_identity_check calls it, against scipy without weights or sign
-        got = _logsumexp(a, 1.0)[0]
-        want = logsumexp(a, axis=-1)
-        assert np.shape(got) == np.shape(want) and got.tobytes() == np.asarray(want).tobytes()
-        return
-    # +-1 weights along the last axis, as _origin_logs calls it; a row of weights broadcasts
-    b = data.draw(hnp.arrays(float, shape if weights == "full" else (cols,),
-                             elements=st.sampled_from([-1.0, 1.0])))
-    for g, w in zip(_logsumexp(a, b), logsumexp(a, b=b, axis=-1, return_sign=True)):
-        assert np.shape(g) == np.shape(w)
-        assert g.tobytes() == np.asarray(w).tobytes()
+        b = np.ones(shape)      # as trace_identity_check calls it
+    else:
+        # +-1 weights along the last axis, as _origin_logs calls it; a row of weights broadcasts
+        b = data.draw(hnp.arrays(float, shape if weights == "full" else (cols,),
+                                 elements=st.sampled_from([-1.0, 1.0])))
+    got, sign = _logsumexp(a, 1.0 if weights == "unit" else b)
+    assert np.shape(got) == np.shape(sign) == shape[:-1]
+    for g, s, row, w in zip(np.ravel(got), np.ravel(sign), a.reshape(-1, cols),
+                            np.broadcast_to(b, shape).reshape(-1, cols)):
+        want, want_sign, kappa = _exact_logsumexp(row, w)
+        if 4 * EPS * kappa < 1:
+            # The shifted sum of up to 8 terms is within 4 eps times its condition number
+            # kappa (1 for +1 weights), so the sign is exact; y = max + log|sum| adds one
+            # rounding of y.  The error is absolute near y = 0, not a few ulp of y:
+            # a = [0, -40] reads 0 against 4.2e-18, and [0, -3, -3, -3, -3, -3, -3] is 2.2 eps off
+            assert s == want_sign, (row, w)
+            assert abs(g - want) <= 0.5 * math.ulp(float(want)) + 4 * EPS * kappa, (row, w)
 
 
-def test_logsumexp_edge_cases_equal_scipy():
-    cases = [([1.0, 1.0], [1.0, -1.0]),           # cancels to zero
-             ([2.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # tie at the maximum
-             ([2.0, 2.0, 1.0], [1.0, -1.0, 1.0]), # tie at the maximum that cancels
-             ([-np.inf, -np.inf], [1.0, 1.0]),    # every term zero
-             ([3.0, np.inf], [1.0, -1.0]),        # an infinite term
-             ([0.0, 1.0], [1.0, -1.0])]           # negative sum
+def test_logsumexp_edge_cases():
+    cases = [([1.0, 1.0], [1.0, -1.0]),                     # cancels to zero
+             ([3.0, 3.0, 1.0, 1.0], [1.0, -1.0, -1.0, 1.0]),  # every pair cancels
+             ([2.0, 2.0, 1.0], [1.0, 1.0, 1.0]),            # tie at the maximum
+             ([2.0, 2.0, 1.0], [1.0, -1.0, 1.0]),           # tie at the maximum that cancels
+             ([0.0, 1.0], [1.0, -1.0])]                     # negative sum
     for a, b in cases:
-        got = _logsumexp(np.array(a), np.array(b))
-        want = logsumexp(np.array(a), b=b, return_sign=True)
-        for g, w in zip(got, want):
-            assert g.tobytes() == np.asarray(w).tobytes(), (a, b)
-        if min(b) > 0:
-            assert got[0].tobytes() == np.asarray(logsumexp(np.array(a))).tobytes(), a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # log 0 of a cancelled sum included
+            got, sign = _logsumexp(np.array(a), np.array(b))
+        want, want_sign, _ = _exact_logsumexp(a, b)
+        if want is None:
+            assert (got, sign) == (-np.inf, 0.0), (a, b)
+        else:
+            assert sign == want_sign and abs(got - want) <= 2 * math.ulp(float(want)), (a, b)
+
+
+def test_log_factorial_matches_mpmath():
+    # growth_sequence's 4 log N! column, as it calls math.lgamma: at most 3 doubles from the
+    # correctly rounded log N!.  The worst case with glibc is lgamma(3.0), 3 doubles below
+    # log 2 (3.21 ulp of the exact value)
+    with mpmath.workdps(50):
+        want = np.array([float(mpmath.loggamma(N + 1)) for N in range(5001)])
+    got = np.array([math.lgamma(N + 1.0) for N in np.arange(5001, dtype=float)])
+    assert np.all(got >= 0) and np.all(want >= 0)
+    steps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert steps.max() <= 3
 
 
 def test_trace_identity_without_a_nonzero_coefficient():
@@ -422,6 +449,36 @@ def test_trace_identity_without_a_nonzero_coefficient():
         lhs, rhs, gap = tw.trace_identity_check(np.zeros((2, 5)), 3, d=1, n_max=4)
     assert lhs == -np.inf and rhs == -np.inf
     assert gap == 0.0
+
+
+def _origin_case(case, d=2, n_max=6):
+    """(C, Gram generators or None) for the origin-value warning test."""
+    side = (n_max + 1) ** d
+    if case == "planted":
+        return tw.random_positive_element(3, 0.5, default_planted_rate(0.5, n_max, 12), seed=2, d=d, n_max=n_max)
+    if case == "single-entry":
+        vectors = np.zeros((1, side), dtype=complex)
+        vectors[0, 5] = 0.3 - 0.4j
+        return tw.WongCoeffMatrix(d, n_max, np.outer(vectors[0], vectors[0].conj())), vectors
+    if case == "zero-diagonal":
+        entries = np.zeros((side, side), dtype=complex)
+        entries[0, 1] = entries[1, 0] = 1.0
+        return tw.WongCoeffMatrix(d, n_max, entries), np.zeros((2, side))
+    signs = np.where(np.arange(side) % 3 == 0, -1.0, 1.0)
+    return tw.WongCoeffMatrix(d, n_max, np.diag(signs * np.exp(-np.arange(side) / 4.0)).astype(complex)), None
+
+
+@pytest.mark.parametrize("case", ["planted", "single-entry", "zero-diagonal", "signed-diagonal"])
+def test_origin_values_raise_no_runtime_warning(case):
+    C, vectors = _origin_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tw.growth_sequence(C, 12)
+        for N in (0, 3, 12):
+            tw.t_sigma_origin_log(C, N)
+        if vectors is not None:
+            for N in (0, 7):
+                tw.trace_identity_check(vectors, N, C.d, C.n_max)
 
 
 # --- decay classification ---
