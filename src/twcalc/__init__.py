@@ -40,6 +40,7 @@ from .algebra import (
     expand,
     fsigma_coeff,
     kernel_map_A_coeff,
+    read_wong,
     synthesize,
     twisted_apply,
     twisted_convolution_coeff,
@@ -50,6 +51,7 @@ from .algebra import (
     weyl_quantize,
     wong_from_json,
     wong_to_json,
+    write_wong,
 )
 from .oscillators import (
     LadderKind,

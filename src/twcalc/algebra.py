@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .formats import matrix_from_json, matrix_to_json
+from .formats import matrix_from_json, matrix_json, read_matrix, write_matrix
 from .hermite import hermite_batch, index_totals
 from .phase_space import (
     GridFunction,
@@ -285,10 +285,27 @@ def weyl_product(Ca: WongCoeffMatrix, Cb: WongCoeffMatrix) -> WongCoeffMatrix:
 
 
 def wong_to_json(C: WongCoeffMatrix, meta: dict | None = None) -> str:
-    """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}, zeros omitted."""
-    return matrix_to_json(C.d, C.n_max, C.entries, meta)
+    """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...]}, zeros omitted.
+
+    The text write_wong streams, joined into one str.
+    """
+    return "".join(matrix_json(C.d, C.n_max, C.entries, meta))
 
 
 def wong_from_json(text: str) -> WongCoeffMatrix:
     """Parse the wong_to_json form; malformed input raises ValueError."""
     return WongCoeffMatrix(*matrix_from_json(text))
+
+
+def read_wong(path) -> WongCoeffMatrix:
+    """The matrix in the wong_to_json file at path, read in windows; malformed input raises ValueError."""
+    return WongCoeffMatrix(*read_matrix(path))
+
+
+def write_wong(path, C: WongCoeffMatrix, meta: dict | None = None, others=()):
+    """Write wong_to_json(C, meta) and a newline to path piece by piece, and others' (path, pieces).
+
+    C is checked before any file is opened, and a failed write leaves every
+    path as it was (formats.write_files).
+    """
+    write_matrix(path, C.d, C.n_max, C.entries, meta, others)

@@ -18,8 +18,8 @@ from . import __version__
 from .algebra import (
     twisted_convolution_coeff,
     twisted_convolution_grid,
-    wong_from_json,
-    wong_to_json,
+    read_wong,
+    write_wong,
 )
 from .errors import TwcError
 from .formats import coeff_vector_to_json, write_files
@@ -54,27 +54,22 @@ def cmd_gen(args) -> int:
         config["planted_r"] = planted_r
     C, vectors = random_positive_element(
         args.rank, args.planted_s, planted_r, args.seed, args.d, args.n_max, args.flavor)
-    files = [(args.out, [wong_to_json(C, {"config": config, "version": __version__}), "\n"])]
+    others = []
     if args.vectors_out:
         shape = (args.n_max + 1,) * args.d
         entries = [json.loads(coeff_vector_to_json(HermiteCoeffVector(args.d, args.n_max, v.reshape(shape))))
                    for v in vectors]
         obj = {"config": config, "version": __version__, "vectors": entries}
-        files.append((args.vectors_out, [json.dumps(obj, sort_keys=True, indent=1), "\n"]))
-    write_files(files)
+        others.append((args.vectors_out, [json.dumps(obj, sort_keys=True, indent=1), "\n"]))
+    write_wong(args.out, C, {"config": config, "version": __version__}, others)
     return 0
 
 
 def cmd_compose(args) -> int:
     if len(args.inputs) != 2:
         raise ValueError("compose needs exactly two --in files")
-    mats = []
-    for path in args.inputs:
-        with open(path) as fh:
-            mats.append(wong_from_json(fh.read()))
-    out = twisted_convolution_coeff(mats[0], mats[1])
-    text = wong_to_json(out, {"config": {"inputs": list(args.inputs)}, "version": __version__})
-    write_files([(args.out, [text, "\n"])])
+    out = twisted_convolution_coeff(*map(read_wong, args.inputs))
+    write_wong(args.out, out, {"config": {"inputs": list(args.inputs)}, "version": __version__})
     return 0
 
 
@@ -84,8 +79,7 @@ def cmd_verify(args) -> int:
             print(f"verify: --in reads the element from its file and takes no "
                   f"{', '.join(args.element_flags)}", file=sys.stderr)
             return 2
-        with open(args.input) as fh:
-            C = wong_from_json(fh.read())
+        C = read_wong(args.input)
         config = {"d": C.d, "n_max": C.n_max, **_config_dict(args, ["N_max", "seed", "tol"])}
         report = verify_matrix_report(C, args.N_max, planted_s=None, seed=args.seed, s_tol=args.tol)
     else:

@@ -1,14 +1,18 @@
 """The package's file formats: coefficient JSON, for HermiteCoeffVector ("coeffs") and
-Wong matrices ("entries", behind algebra.wong_to_json/wong_from_json), and binary TWCG grids.
+Wong matrices ("entries", behind algebra.read_wong/write_wong and wong_from_json/wong_to_json),
+and binary TWCG grids.  Every output is written by write_files.
 """
 
 from __future__ import annotations
 
-import contextlib
+import errno
+import itertools
 import json
 import os
 import re
+import stat
 import struct
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -19,11 +23,11 @@ MAGIC = b"TWCG"
 
 # bytes of the longest repr of a finite double's magnitude: 2.2250738585072014e-308
 _MAGNITUDE_WIDTH = 23
-_ROW_BLOCK = 65536                 # rows per byte buffer and magnitudes per repr batch
+_ROW_BLOCK = 16384                 # rows per byte buffer and magnitudes per repr batch
 _ROWS = object()                   # marks where _json_object splices the rows text
 
 
-def _coeff_rows_json(T: np.ndarray) -> list[str]:
+def _coeff_rows_json(T: np.ndarray) -> Iterator[str]:
     """Pieces of the JSON text of the nonzero entries of T as [index..., re, im] rows.
 
     Rows run in C order.  Joined, the pieces are byte for byte json.dumps of
@@ -31,59 +35,76 @@ def _coeff_rows_json(T: np.ndarray) -> list[str]:
     once per distinct magnitude; a sign is a "-" byte in front of it, since
     repr(-x) == "-" + repr(x) for every finite double.  Each row is a
     fixed-width byte record whose NUL padding is dropped.  Zero entries are
-    omitted; a non-finite entry raises ValueError before anything is
-    formatted.  Through the row loop the only arrays over all nonzero
-    entries are their flat indices, sign bits and magnitude numbers (in the
-    narrowest unsigned type that holds them): index tuples are unraveled per
-    block and the values are freed before the loop, so the peak is about the
-    pieces plus the magnitude table.
+    omitted.  The checks and the magnitude table run at the call, so a
+    non-finite entry raises ValueError before a piece is taken; the rows are
+    then formatted one block of _ROW_BLOCK as each piece is taken.  What the
+    blocks share are the flat indices, sign bits and magnitude numbers of the
+    nonzero entries, each in the narrowest type that holds it, and the table.
     """
     entries = T.reshape(-1)
     flat = np.flatnonzero(entries)
-    v = entries[flat]
-    if not np.isfinite(v).all():
+    parts = entries[flat].astype(complex, copy=False).view(np.float64).reshape(-1, 2)    # [re, im]
+    if not np.isfinite(parts).all():
         raise ValueError("coefficients must be finite to be written as JSON")
-    if v.size == 0:
-        return ["[]"]
-    parts = np.stack([v.real, v.imag], axis=1)
-    del v
+    if flat.size == 0:
+        return iter(["[]"])
+    flat = flat.astype(np.min_scalar_type(entries.size - 1))
     negative = np.signbit(parts)
-    uniq, inverse = np.unique(np.abs(parts, out=parts).view(np.uint64), return_inverse=True)
+    # distinct magnitudes by one sort of their bit patterns, which order as the magnitudes do
+    keys = np.abs(parts, out=parts).reshape(-1).view(np.uint64)
     del parts
-    inverse = inverse.reshape(-1, 2).astype(np.min_scalar_type(uniq.size - 1))
-    mags = uniq.view(np.float64)
-    table = np.empty(uniq.size, dtype=f"S{_MAGNITUDE_WIDTH}")
-    for start in range(0, uniq.size, _ROW_BLOCK):
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    mags = keys[first].view(np.float64)
+    del keys
+    ids = np.cumsum(first, dtype=np.min_scalar_type(mags.size))
+    ids -= 1
+    inverse = np.empty_like(ids)
+    inverse[order] = ids
+    inverse = inverse.reshape(-1, 2)
+    del first, order, ids
+    table = np.empty(mags.size, dtype=f"S{_MAGNITUDE_WIDTH}")
+    for start in range(0, mags.size, _ROW_BLOCK):
         table[start:start + _ROW_BLOCK] = list(map(float.__repr__, mags[start:start + _ROW_BLOCK].tolist()))
-    del uniq, mags
+    del mags
     table = table.view(np.uint8).reshape(-1, _MAGNITUDE_WIDTH)
-    top = max(T.shape) - 1
+    shape = T.shape
+    top = max(shape) - 1
     tokens = np.array([f"{i}, " for i in range(top + 1)], dtype=f"S{len(str(top)) + 2}")
     tokens = tokens.view(np.uint8).reshape(top + 1, -1)
-
     # "[" index tokens, then sign byte, magnitude and separator for re and im
-    width = 1 + T.ndim * tokens.shape[1] + 2 * (1 + _MAGNITUDE_WIDTH) + len(", ") + len("], ")
-    chunks = []
-    for start in range(0, flat.size, _ROW_BLOCK):
-        at = slice(start, start + _ROW_BLOCK)
-        buf = np.zeros((min(_ROW_BLOCK, flat.size - start), width), dtype=np.uint8)
-        buf[:, 0] = ord("[")
-        col = 1
-        for axis in np.unravel_index(flat[at], T.shape):
-            buf[:, col:col + tokens.shape[1]] = np.take(tokens, axis, axis=0)
-            col += tokens.shape[1]
-        for part, sep in ((0, b", "), (1, b"], ")):
-            buf[:, col] = negative[at, part] * ord("-")
-            buf[:, col + 1:col + 1 + _MAGNITUDE_WIDTH] = np.take(table, inverse[at, part], axis=0)
-            col += 1 + _MAGNITUDE_WIDTH
-            buf[:, col:col + len(sep)] = np.frombuffer(sep, np.uint8)
-            col += len(sep)
-        chunks.append(buf[buf != 0].tobytes().decode("ascii"))     # NUL padding dropped
-    chunks[-1] = chunks[-1][:-2]
-    return ["[", *chunks, "]"]
+    width = 1 + len(shape) * tokens.shape[1] + 2 * (1 + _MAGNITUDE_WIDTH) + len(", ") + len("], ")
+    block = _ROW_BLOCK
+
+    def pieces():
+        yield "["
+        for start in range(0, flat.size, block):
+            at = slice(start, start + block)
+            buf = np.zeros((min(block, flat.size - start), width), dtype=np.uint8)
+            buf[:, 0] = ord("[")
+            col = 1
+            for axis in np.unravel_index(flat[at], shape):
+                buf[:, col:col + tokens.shape[1]] = np.take(tokens, axis, axis=0)
+                col += tokens.shape[1]
+            for part, sep in ((0, b", "), (1, b"], ")):
+                buf[:, col] = negative[at, part] * ord("-")
+                buf[:, col + 1:col + 1 + _MAGNITUDE_WIDTH] = np.take(table, inverse[at, part], axis=0)
+                col += 1 + _MAGNITUDE_WIDTH
+                buf[:, col:col + len(sep)] = np.frombuffer(sep, np.uint8)
+                col += len(sep)
+            rows = buf[buf != 0].tobytes().decode("ascii")     # NUL padding dropped
+            del buf
+            yield rows if start + block < flat.size else rows[:-2]
+        yield "]"
+
+    return pieces()
 
 
-_TEXT_BLOCK = 1 << 21              # characters of rows text per json.loads in _coeff_tensor
+_TEXT_BLOCK = 1 << 18              # characters per read of a coefficient file and per json.loads of rows
+_MERGE_ROWS = 1 << 18              # rows of blocks joined into one pair of arrays by _read_rows
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE      # the pattern json.decoder skips whitespace with
 _LAST_ROW_END = re.compile(r"\][ \t\n\r]*\]")
@@ -91,99 +112,194 @@ _ROW_GAP = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 
 
 class _RowBlocks(list):
-    """A rows array read block by block: 2-D int or float arrays, in row order."""
+    """A rows array read block by block: _row_block pairs, in row order."""
 
 
-def _row_array(rows, text: str) -> np.ndarray:
-    """np.array of parsed rows; ValueError unless they are 2-D, numeric and without bools."""
+class _NotRows(Exception):
+    """The rows array is not flat rows of numbers, so the text is read whole."""
+
+
+class _Chars:
+    """read(size) and seek(0) over a str, without the 4 bytes a character io.StringIO takes."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def read(self, size: int = -1) -> str:
+        start = self.pos
+        self.pos = len(self.text) if size < 0 else min(start + size, len(self.text))
+        return self.text[start:self.pos]
+
+    def seek(self, pos: int):
+        self.pos = pos
+
+
+class _Window:
+    """A text file read in windows: buf[at:] has been read and not yet consumed."""
+
+    def __init__(self, read):
+        self.read, self.buf, self.at = read, "", 0
+
+    def more(self) -> bool:
+        """Drop the consumed text and read on; False, changing nothing, at the end of the file.
+
+        A read takes _TEXT_BLOCK characters or as many as are unconsumed, if
+        more, so a match retried on each new window costs linear time.
+        """
+        piece = self.read(max(_TEXT_BLOCK, len(self.buf) - self.at))
+        if not piece:
+            return False
+        self.buf = self.buf[self.at:] + piece
+        self.at = 0
+        return True
+
+    def take(self, match):
+        """The value of match(buf, at) -> (value, end), and at moves to end.
+
+        While match fails or ends at the end of the window, it is retried on
+        more text, so a number or a string is never cut by a window.
+        """
+        while True:
+            try:
+                value, end = match(self.buf, self.at)
+            except json.JSONDecodeError:
+                if self.more():
+                    continue
+                raise
+            if end < len(self.buf) or not self.more():
+                self.at = end
+                return value
+
+    def space(self):
+        self.take(lambda buf, at: (None, _WS.match(buf, at).end()))
+
+    def step(self, char: str) -> bool:
+        """Step past char and the whitespace after it; False, not moving, if char is not next."""
+        if not self.buf.startswith(char, self.at):
+            return False
+        self.at += 1
+        self.space()
+        return True
+
+
+def _row_block(rows, text: str) -> tuple[np.ndarray, np.ndarray]:
+    """(index columns, last two columns) of parsed rows, as np.array makes them.
+
+    ValueError unless the rows are 2-D, numeric and without bools.  Index
+    columns that are all integers in 0..65535, without a -0.0, are kept in
+    the narrowest unsigned type that holds them, so a block of d=2 rows takes
+    about 20 bytes a row, not 48, until they are scattered.
+    """
     arr = np.array(rows)
     if arr.ndim != 2 or arr.dtype.kind not in "if":
         raise ValueError
     # numpy casts a bool among numbers to 0/1; the per-value scan runs only if the JSON text has one
     if ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
         raise ValueError
-    return arr
+    index = arr[:, :-2]
+    narrow = index.size and np.all((index >= 0) & (index <= 0xFFFF) & (index == np.floor(index))) \
+        and not np.signbit(index).any()
+    return index.astype(np.min_scalar_type(int(index.max())) if narrow else index.dtype), arr[:, -2:].copy()
 
 
-def _read_rows(text: str, start: int):
-    """(value, end) of the JSON array at text[start], as _DECODER.raw_decode reads it.
+def _read_rows(text: _Window) -> _RowBlocks:
+    """The flat rows array at text.at, as json reads it; _NotRows if it is not one.
 
-    Flat rows of numbers come back as _RowBlocks: the text is cut at row gaps
-    into blocks of about _TEXT_BLOCK characters, and each block is parsed by
-    json.loads and np.array, so the rows never exist as one list of lists.
-    The blocks join to text[start:end], so if every block is flat rows their
-    concatenation is the array json reads.  Anything else (no rows, nested
-    arrays, strings, bools, ragged rows, an int numpy keeps as an object)
-    is materialized by raw_decode and judged by the caller's checks.
+    The rows text is cut at row gaps into blocks of about _TEXT_BLOCK
+    characters, each parsed by json.loads and np.array, so neither the rows
+    text nor the rows exist whole.  A block starts at a row's "[" outside any
+    string and parses as numbers only, so it holds no string and ends outside
+    one: by induction the blocks join to the array json reads.  Anything else
+    (no rows, nested arrays, strings, bools, ragged rows, an int numpy keeps
+    as an object) raises _NotRows.  Each _MERGE_ROWS rows the blocks since
+    the last merge are joined, as np.concatenate promotes their types, so the
+    rows end up in large arrays, which the allocator maps and unmaps: freed,
+    thousands of small ones would stay in the heap of the process.
     """
-    at = _WS.match(text, start + 1).end()
-    last = text.startswith("[", at) and _LAST_ROW_END.search(text, at)
-    if last:
-        blocks = _RowBlocks()
-        while at <= last.start():
-            gap = _ROW_GAP.search(text, at + _TEXT_BLOCK, last.start())
-            chunk = text[at:gap.start() + 1 if gap else last.start() + 1]
-            try:
-                arr = _row_array(json.loads("[" + chunk + "]"), chunk)
-            except ValueError:
-                break
-            blocks.append(arr)
-            at = gap.end() - 1 if gap else last.end()
-        else:
-            return blocks, last.end()
-    return _DECODER.raw_decode(text, start)
+    text.step("[")
+    if not text.buf.startswith("[", text.at):
+        raise _NotRows
+    blocks = _RowBlocks()
+    merged = rows = 0
+    while True:
+        if len(text.buf) - text.at < 2 * _TEXT_BLOCK and text.more():
+            continue
+        buf, at = text.buf, text.at
+        gap = _ROW_GAP.search(buf, at + _TEXT_BLOCK)
+        last = _LAST_ROW_END.search(buf, at, gap.start() + 1 if gap else len(buf))
+        if last:
+            gap = None              # the rows end before the gap
+        elif not gap:
+            if text.more():
+                continue
+            raise _NotRows
+        chunk = "[" + buf[at:(gap or last).start() + 1] + "]"
+        try:
+            blocks.append(_row_block(json.loads(chunk), chunk))
+        except ValueError:
+            raise _NotRows from None
+        rows += len(blocks[-1][0])
+        if rows >= _MERGE_ROWS:
+            blocks[merged:] = [tuple(map(np.concatenate, zip(*blocks[merged:])))]
+            merged, rows = len(blocks), 0
+        if not gap:
+            text.at = last.end()
+            return blocks
+        text.at = gap.end() - 1
 
 
-def _walk_object(text: str, key: str) -> dict | None:
-    """The top-level JSON object of text as json.loads builds it, key's array read by _read_rows.
+def _walk_object(text: _Window, key: str) -> dict | None:
+    """The top-level JSON object of the file as json.loads builds it, key's array read by _read_rows.
 
     Keys are read with scanstring and other values with raw_decode, and a
-    duplicate key keeps its last value, as in json.  None when text is not a
-    non-empty object or a separator is not where one belongs, so json.loads
-    can give its own error or object; a malformed string or value raises
-    json's error.
+    duplicate key keeps its last value, as in json.  None when the text is
+    not a non-empty object or a separator is not where one belongs; a
+    malformed string or value raises json's error.
     """
-    end = _WS.match(text, 0).end()
-    if not text.startswith("{", end):
+    text.space()
+    if not text.step("{"):
         return None
     obj = {}
-    end = _WS.match(text, end + 1).end()
     while True:
-        if not text.startswith('"', end):
+        if not text.buf.startswith('"', text.at):
             return None
-        name, end = json.decoder.scanstring(text, end + 1)
-        end = _WS.match(text, end).end()
-        if not text.startswith(":", end):
+        name = text.take(lambda buf, at: json.decoder.scanstring(buf, at + 1))
+        text.space()
+        if not text.step(":"):
             return None
-        end = _WS.match(text, end + 1).end()
-        read = _read_rows if name == key and text.startswith("[", end) else _DECODER.raw_decode
-        obj[name], end = read(text, end)
-        end = _WS.match(text, end).end()
-        if text.startswith("}", end):
-            break
-        if not text.startswith(",", end):
+        if name == key and text.buf.startswith("[", text.at):
+            obj[name] = _read_rows(text)
+        else:
+            obj[name] = text.take(_DECODER.raw_decode)
+        text.space()
+        if text.step("}"):
+            return obj if text.at == len(text.buf) else None
+        if not text.step(","):
             return None
-        end = _WS.match(text, end + 1).end()
-    return obj if _WS.match(text, end + 1).end() == len(text) else None
 
 
-def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]:
-    """Parse {"d", "n_max", key: rows} into (d, n_max, T).
+def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
+    """Parse {"d", "n_max", key: rows} from the text file fh into (d, n_max, T).
 
     T has shape (n_max + 1,) * (rank * d) and rows are [index..., re, im].
     d in {1, 2} and n_max >= 0 must be JSON integers, every row rank * d + 2
     numbers and every index an integer in 0..n_max; anything else raises
-    ValueError.  json is the only tokenizer: _walk_object reads the top
-    level and the rows are parsed by json.loads in blocks of about
-    _TEXT_BLOCK characters, each checked and then scattered into T as an
-    array, so the peak above the text is about the row arrays and T, never a
-    list of all the row lists.  Input json.loads refuses raises its error.
+    ValueError.  json is the only tokenizer.  _walk_object reads fh in
+    windows of a few _TEXT_BLOCK characters and the flat rows in blocks,
+    which are checked and scattered into T as arrays once d and n_max are
+    known, so the peak is about the compact row arrays and T: never the text
+    or a list of all the rows.  Anything but flat rows, and text that is not
+    valid JSON, is read again whole from fh.seek(0) and parsed by json.loads,
+    so it gets json's own error or object.
     """
+    text = None
     try:
-        obj = _walk_object(text, key)
-    except json.JSONDecodeError:
+        obj = _walk_object(_Window(fh.read), key)
+    except (json.JSONDecodeError, UnicodeDecodeError, _NotRows):
         obj = None
     if obj is None:
+        fh.seek(0)
+        text = fh.read()
         obj = json.loads(text)
     try:
         d, n_max, rows = obj["d"], obj["n_max"], obj[key]
@@ -196,72 +312,95 @@ def _coeff_tensor(text: str, key: str, rank: int) -> tuple[int, int, np.ndarray]
                          f"{key}; need integers d in {{1, 2}}, n_max >= 0 and a list")
     k = rank * d
     try:
-        blocks = rows if type(rows) is _RowBlocks else [_row_array(rows, text)] if rows else []
-        if any(arr.shape[1] != k + 2 for arr in blocks):
+        blocks = rows if type(rows) is _RowBlocks else [_row_block(rows, text)] if rows else []
+        if any(index.shape[1] != k for index, _ in blocks):
             raise ValueError
     except ValueError:
         raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
-    del obj, rows                   # a materialized list of rows dominates peak memory; free it before T
+    del obj, rows, text             # a materialized list of rows dominates peak memory; free it before T
     first = 0
-    for arr in blocks:
-        idx = arr[:, :k]
-        bad = ~np.all((idx >= 0) & (idx <= n_max) & (idx == np.floor(idx)), axis=1)
+    for index, parts in blocks:
+        bad = ~np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
         if bad.any():
             i = int(np.argmax(bad))
             # as one array of all the rows would show it: float if any block is
-            row = arr[i].astype(float if any(b.dtype.kind == "f" for b in blocks) else int).tolist()
+            row = np.concatenate([index[i], parts[i]])
+            row = row.astype(float if any(p.dtype.kind == "f" for _, p in blocks) else int).tolist()
             raise ValueError(f"{key}[{first + i}] = {row} has an index that is not an integer in 0..{n_max}")
-        first += len(arr)
+        first += len(index)
     T = np.zeros((n_max + 1,) * k, dtype=complex)
-    for arr in blocks:
-        at = tuple(arr[:, :k].astype(np.intp).T)
-        T.real[at] = arr[:, k]      # part by part, so signed zeros survive
-        T.imag[at] = arr[:, k + 1]
+    pairs = T.reshape(-1).view(np.float64).reshape(-1, 2)     # [re, im] of each entry, a view of T
+    for index, parts in blocks:
+        if index.dtype.kind == "f":
+            index = index.astype(np.intp)     # exact, as checked above; a -0.0 kept it from being narrowed
+        pairs[np.ravel_multi_index(tuple(index.T), T.shape)] = parts     # as floats, so signed zeros survive
     return d, n_max, T
 
 
-def _json_object(obj: dict, rows: list[str], sort_keys: bool = False) -> str:
-    """json.dumps(obj, sort_keys=sort_keys), the value _ROWS written as the joined rows pieces.
-
-    The output is built by one join, so the rows text is copied only once.
-    """
-    items = sorted(obj.items()) if sort_keys else obj.items()
-    pieces = []
-    for key, value in items:
+def _json_object(obj: dict, rows: Iterable[str], sort_keys: bool = False) -> Iterator[str]:
+    """Pieces of json.dumps(obj, sort_keys=sort_keys), the value _ROWS written as the rows pieces."""
+    yield "{"
+    for i, (key, value) in enumerate(sorted(obj.items()) if sort_keys else obj.items()):
+        if i:
+            yield ", "
         if value is _ROWS:
-            pieces += [", ", json.dumps(key), ": ", *rows]
+            yield json.dumps(key) + ": "
+            yield from rows
         else:
-            pieces += [", ", json.dumps({key: value}, sort_keys=sort_keys)[1:-1]]
-    return "".join(["{", *pieces[1:], "}"])
+            yield json.dumps({key: value}, sort_keys=sort_keys)[1:-1]
+    yield "}"
 
 
 def coeff_vector_to_json(f: HermiteCoeffVector) -> str:
     """JSON form {"d", "n_max", "coeffs": [[index..., re, im], ...]}, zeros omitted."""
-    return _json_object({"d": f.d, "n_max": f.n_max, "coeffs": _ROWS}, _coeff_rows_json(f.coeffs))
+    return "".join(_json_object({"d": f.d, "n_max": f.n_max, "coeffs": _ROWS}, _coeff_rows_json(f.coeffs)))
 
 
 def coeff_vector_from_json(text: str) -> HermiteCoeffVector:
     """Parse the coeff_vector_to_json form; malformed input raises ValueError."""
-    return HermiteCoeffVector(*_coeff_tensor(text, "coeffs", 1))
+    return HermiteCoeffVector(*_coeff_tensor(_Chars(text), "coeffs", 1))
 
 
-def matrix_to_json(d: int, n_max: int, entries: np.ndarray, meta: dict | None = None) -> str:
-    """JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...], **meta}, zeros omitted."""
+def matrix_json(d: int, n_max: int, entries: np.ndarray, meta: dict | None = None) -> Iterator[str]:
+    """Pieces of the JSON form {"d", "n_max", "entries": [[a1..., a2..., re, im], ...], **meta}.
+
+    Zeros are omitted and keys sorted.  The entries are checked at the call;
+    the rows text is formatted a block at a time as the pieces are taken.
+    """
     rows = _coeff_rows_json(entries.reshape((n_max + 1,) * (2 * d)))
     return _json_object({"d": d, "n_max": n_max, "entries": _ROWS, **(meta or {})}, rows, sort_keys=True)
 
 
-def matrix_from_json(text: str) -> tuple[int, int, np.ndarray]:
-    """(d, n_max, entries) of the matrix_to_json form; malformed input raises ValueError."""
-    d, n_max, T = _coeff_tensor(text, "entries", 2)
+def _matrix(fh) -> tuple[int, int, np.ndarray]:
+    d, n_max, T = _coeff_tensor(fh, "entries", 2)
     return d, n_max, T.reshape(((n_max + 1) ** d,) * 2)
+
+
+def matrix_from_json(text: str) -> tuple[int, int, np.ndarray]:
+    """(d, n_max, entries) of the matrix_json text; malformed input raises ValueError."""
+    return _matrix(_Chars(text))
+
+
+def read_matrix(path) -> tuple[int, int, np.ndarray]:
+    """(d, n_max, entries) of the matrix_json file at path, read in windows, never whole.
+
+    A file that cannot seek (a pipe) is read whole first, so malformed text
+    can be parsed again by json.loads for its error.
+    """
+    with open(path) as fh:
+        return _matrix(fh if fh.seekable() else _Chars(fh.read()))
+
+
+def write_matrix(path, d: int, n_max: int, entries: np.ndarray, meta: dict | None = None, others=()):
+    """Write the matrix_json pieces and a newline to path, and others' (path, pieces), by write_files."""
+    write_files([(path, itertools.chain(matrix_json(d, n_max, entries, meta), ["\n"])), *others])
 
 
 def write_grid(path, f: GridFunction):
     """Binary layout: magic, dims u32, L f64, points u32, then complex64 row-major.
 
     Values beyond the complex64 range raise ValueError before the file is
-    opened; a failed write removes the file it created.
+    opened; a failed write leaves the path as it was (see write_files).
     """
     header = MAGIC + struct.pack("<IdI", f.dims, f.box_half_width, f.points_per_axis)
     with np.errstate(over="ignore"):
@@ -290,25 +429,39 @@ def read_grid(path) -> GridFunction:
 
 
 def write_files(files, mode: str = "w"):
-    """Write each (path, pieces); if one fails, remove the files this call created.
+    """Write each (path, pieces), taking the pieces one by one; if one fails, every path stays as it was.
 
-    Every path is opened, without truncating, before any is truncated, so a
-    path that cannot be opened leaves every existing file as it was.
+    A path that is a regular file, or is not there yet, is written under a
+    temporary name in the directory of the file it resolves to, and every
+    temporary is renamed over its path once all writes succeeded; a replaced
+    file keeps its mode.  Other paths (a pipe, a terminal) are written in
+    place.  A failed open or write removes the temporaries.
     """
-    created = []
+    renames = []
     try:
-        with contextlib.ExitStack() as stack:
-            opened = []
-            for path, pieces in files:
-                new = not os.path.lexists(path)
-                opened.append((path, stack.enter_context(open(path, mode.replace("w", "a"))), pieces))
-                if new:
-                    created.append(path)
-            for path, fh, pieces in opened:
-                if os.path.getsize(path):       # a pipe or terminal reads 0 and cannot be truncated
-                    os.truncate(path, 0)
+        for path, pieces in files:
+            try:
+                old = os.stat(path)
+            except FileNotFoundError:
+                old = None
+            if old and not stat.S_ISREG(old.st_mode):
+                with open(path, mode) as fh:
+                    fh.writelines(pieces)
+                continue
+            if old and not os.access(path, os.W_OK):      # as open(path, "w") would refuse it
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            target = os.path.realpath(path)
+            temp = os.path.join(os.path.dirname(target), f".twcalc-{os.urandom(8).hex()}.tmp")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)   # the mode open() gives
+            renames.append((temp, target))
+            if old:
+                os.chmod(temp, stat.S_IMODE(old.st_mode))
+            with open(fd, mode) as fh:
                 fh.writelines(pieces)
+        for temp, target in renames:
+            os.replace(temp, target)
     except BaseException:
-        for path in created:
-            os.remove(path)
+        for temp, _ in renames:
+            if os.path.lexists(temp):
+                os.remove(temp)
         raise

@@ -1,9 +1,12 @@
+import errno
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import twcalc as tw
+from twcalc import formats
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +41,25 @@ def sparse_coeffs(shape):
     """Complex arrays of the given shape, mostly zero, some parts -0.0."""
     return hnp.arrays(complex, shape, elements=st.builds(complex, _PART, _PART),
                       fill=st.sampled_from([0j, complex(-0.0, -0.0)]))
+
+
+class _FullDisk:
+    """A file whose writes fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, pieces):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Call it, and every file twcalc.formats opens from then on fails its writes as on a full disk."""
+    return lambda: monkeypatch.setattr(formats, "open", lambda *a: _FullDisk(open(*a)), raising=False)

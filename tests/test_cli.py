@@ -1,5 +1,8 @@
 import json
+import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +207,65 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, argv, present):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(name.rstrip("/") for name in present)
     for name in present:
         assert name.endswith("/") or (tmp_path / name).read_text() == "{}"
+
+
+@pytest.mark.parametrize("failure", ["full-disk", "read-only"])
+def test_failed_write_keeps_the_file_it_would_replace(tmp_path, monkeypatch, full_disk, failure):
+    # a write that fails after the text began to stream never truncates the old file, and a
+    # file open(path, "w") would refuse is refused, not replaced (root passes os.access, so it is faked)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "keep.json").write_text("{}\n")
+    if failure == "full-disk":
+        full_disk()
+    else:
+        monkeypatch.setattr(os, "access", lambda path, how: False)
+    assert run(["gen", "--n-max", 4, "--out", "keep.json"]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.json"]
+    assert (tmp_path / "keep.json").read_text() == "{}\n"
+
+
+def test_replaced_output_keeps_its_mode_and_symlink(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen", "--n-max", 4, "--out", "C.json"]) == 0
+    (tmp_path / "fresh.json").write_text("")
+    # a new output gets the mode open() gives
+    assert (tmp_path / "C.json").stat().st_mode == (tmp_path / "fresh.json").stat().st_mode
+    (tmp_path / "old.json").write_text("{}")
+    (tmp_path / "old.json").chmod(0o640)
+    (tmp_path / "link.json").symlink_to("old.json")
+    assert run(["gen", "--n-max", 4, "--out", "link.json"]) == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "old.json").read_bytes() == (tmp_path / "C.json").read_bytes()
+    assert stat.S_IMODE((tmp_path / "old.json").stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["C.json", "fresh.json", "link.json", "old.json"]
+
+
+def _in_thread(fn):
+    thread = threading.Thread(target=fn, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_fifo_is_written_and_read_in_place(tmp_path, monkeypatch, capsys):
+    # a FIFO cannot be replaced or read twice: --out writes it in place, --in reads it whole,
+    # and both give what a regular file gives, malformed text included
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    assert run(["gen", "--d", 2, "--n-max", 4, "--out", "C.json"]) == 0
+    got = []
+    reader = _in_thread(lambda: got.append(Path("fifo").read_text()))
+    assert run(["gen", "--d", 2, "--n-max", 4, "--out", "fifo"]) == 0
+    reader.join(10)
+    assert got == [Path("C.json").read_text()]
+    assert stat.S_ISFIFO(os.stat("fifo").st_mode)
+    Path("bad.json").write_text('{"d": 1, "n_max": 4, "entries": [[0, 0, "x", 0.0]]}')
+    for name in ("C.json", "bad.json"):
+        code = run(["verify", "--in", name, "--out", "r.json"])
+        expected = capsys.readouterr(), Path("r.json").read_bytes() if code < 2 else None
+        writer = _in_thread(lambda: Path("fifo").write_text(Path(name).read_text()))
+        assert run(["verify", "--in", "fifo", "--out", "r.json"]) == code
+        writer.join(10)
+        assert (capsys.readouterr(), Path("r.json").read_bytes() if code < 2 else None) == expected
 
 
 def test_verify_input_records_the_matrix_config(tmp_path):

@@ -1,5 +1,6 @@
 """The coefficient JSON writer against json.dumps of plain Python rows."""
 
+import io
 import json
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import twcalc as tw
-from twcalc import formats
+from twcalc import cli, formats
 from twcalc.cli import main
 from twcalc.formats import _coeff_rows_json
 from twcalc.regularity import default_planted_rate
@@ -90,6 +91,8 @@ def test_writers_refuse_non_finite_entries(bad):
     C.entries[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         tw.wong_to_json(C)
+    with pytest.raises(ValueError, match="finite"):
+        formats.matrix_json(1, 2, C.entries)        # at the call, before a piece reaches a pipe
     f = tw.HermiteCoeffVector(2, 1, np.ones((2, 2)))
     f.coeffs[0, 1] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -143,6 +146,16 @@ def _coeff_tensor_whole(text, key, rank):
     T.real[at] = arr[:, k]          # part by part, so signed zeros survive
     T.imag[at] = arr[:, k + 1]
     return d, n_max, T
+
+
+def _block_reader(text, key, rank):
+    """The reader on a str, as wong_from_json runs it."""
+    return formats._coeff_tensor(formats._Chars(text), key, rank)
+
+
+def _file_reader(text, key, rank):
+    """The reader on a text file object, as read_wong runs it."""
+    return formats._coeff_tensor(io.StringIO(text), key, rank)
 
 
 def _outcome(reader, text, key, rank):
@@ -218,18 +231,25 @@ def coeff_texts(draw):
 
 
 @settings(max_examples=500, deadline=None)
-@given(case=coeff_texts(), block=st.integers(16, 64))
-# a bool after a block of numbers, an int beyond int64 in a block of ints, a valid value then an invalid one
-@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16)
-@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16)
-@example(('{"d": 1, "n_max": 0, "entries": [[0, 0, 1.0, 0.0]], "entries": [[0, 0, "x", 0]]}', "entries", 2), 16)
-def test_block_reader_equals_whole_list_reader(case, block):
-    # blocks of 16-64 characters, so the rows of one text span many of them
+@given(case=coeff_texts(), block=st.integers(16, 64), merge=st.integers(1, 4))
+# a bool after a block of numbers, an int beyond int64 in a block of ints, a valid value then an invalid one,
+# a bad index after int and float blocks joined into one, indices narrowed to uint16 (2049 has no float16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16, 1)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16, 1)
+@example(('{"d": 1, "n_max": 0, "entries": [[0, 0, 1.0, 0.0]], "entries": [[0, 0, "x", 0]]}', "entries", 2), 16, 1)
+@example(('{"d": 1, "n_max": 2, "entries": [[0, 0, 1, 0], [0, 1, 2.5, 0], [0, 9, 3, 0]]}', "entries", 2), 16, 2)
+@example(('{"d": 1, "n_max": 65535, "coeffs": [[2049, 1.5, 0.0], [2051, 2.5, -0.0], [65535, 3.5, 0.0]]}', "coeffs", 1),
+         16, 2)
+def test_block_reader_equals_whole_list_reader(case, block, merge):
+    # windows and blocks of 16-64 characters, so the rows of one text span many of them and the
+    # windows cut numbers, keys, whitespace, the BOM and the "]], [[" strings; blocks joined every few rows
     text, key, rank = case
     expected = _outcome(_coeff_tensor_whole, text, key, rank)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_TEXT_BLOCK", block)
-        assert _outcome(formats._coeff_tensor, text, key, rank) == expected
+        mp.setattr(formats, "_MERGE_ROWS", merge)
+        assert _outcome(_block_reader, text, key, rank) == expected
+        assert _outcome(_file_reader, text, key, rank) == expected
 
 
 @pytest.mark.parametrize("block", [16, 1000, None], ids=["16", "1000", "default"])
@@ -238,8 +258,8 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
     text = tw.wong_to_json(C, {"config": {}, "version": tw.__version__})
     if block:
         monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
-    rows = formats._walk_object(text, "entries")["entries"]
-    sizes = [len(arr) for arr in rows]
+    rows = formats._walk_object(formats._Window(formats._Chars(text).read), "entries")["entries"]
+    sizes = [len(index) for index, _ in rows]
     assert type(rows) is formats._RowBlocks and sum(sizes) == np.count_nonzero(C.entries)
     # every block holds whole rows and, but for the last, at least _TEXT_BLOCK characters
     if block == 16:
@@ -248,7 +268,7 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
         assert 1 < len(sizes) <= len(text) // 1000 + 1
     else:
         assert len(sizes) == 1
-    assert _outcome(formats._coeff_tensor, text, "entries", 2) == _outcome(_coeff_tensor_whole, text, "entries", 2)
+    assert _outcome(_block_reader, text, "entries", 2) == _outcome(_coeff_tensor_whole, text, "entries", 2)
 
 
 def test_bad_index_is_named_by_its_row_in_the_file(monkeypatch):
@@ -256,7 +276,7 @@ def test_bad_index_is_named_by_its_row_in_the_file(monkeypatch):
     monkeypatch.setattr(formats, "_TEXT_BLOCK", 16)
     rows = [[0, 0, 0.5, 0.0]] * 20 + [[0, 9, 1, 0], [0, 1, 2, 0], [1, 0, 3, 0]]
     text = json.dumps({"d": 1, "n_max": 2, "entries": rows})
-    message = _outcome(formats._coeff_tensor, text, "entries", 2)
+    message = _outcome(_block_reader, text, "entries", 2)
     assert message == "entries[20] = [0.0, 9.0, 1.0, 0.0] has an index that is not an integer in 0..2"
     assert message == _outcome(_coeff_tensor_whole, text, "entries", 2)
 
@@ -291,3 +311,64 @@ def test_writer_peak_stays_below_three_times_its_text(monkeypatch):
     C = _dense_d2(12)
     size = len(tw.wong_to_json(C))
     assert _traced_peak(tw.wong_to_json, C) < 3.0 * size
+
+
+class _Read(Exception):
+    """Raised where a command has read its inputs, so the traced run stops there."""
+
+
+@pytest.mark.parametrize("command, stage, inputs", [
+    ("verify", "verify_matrix_report", 1),
+    ("compose", "twisted_convolution_coeff", 2),
+])
+def test_cli_read_peak_stays_below_one_text_and_the_matrices(tmp_path, monkeypatch, command, stage, inputs):
+    # 1.8 MB of rows read in windows of 16 k characters; a whole read holds the file's
+    # bytes and its text at once, over twice the text
+    C = _dense_d2(12)
+    path = tmp_path / "C.json"
+    path.write_text(tw.wong_to_json(C))
+    monkeypatch.setattr(formats, "_TEXT_BLOCK", 1 << 14)
+    peaks = []
+
+    def read_done(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise _Read
+
+    monkeypatch.setattr(cli, stage, read_done)
+    with pytest.raises(_Read):
+        _traced_peak(main, [command, *["--in", str(path)] * inputs, "--out", str(tmp_path / "out.json")])
+    # each input's matrix, and one copy of the text (ASCII: a byte a character)
+    assert peaks[0] < path.stat().st_size + inputs * C.entries.nbytes
+
+
+def test_gen_write_peak_stays_below_one_text_and_the_table(tmp_path, monkeypatch):
+    # 1.8 MB of rows in buffers of 2048 rows; a writer that joins its text holds it twice
+    C = _dense_d2(12)
+    monkeypatch.setattr(cli, "random_positive_element", lambda *args: (C, []))
+    monkeypatch.setattr(formats, "_ROW_BLOCK", 2048)
+    out = tmp_path / "C.json"
+    peak = _traced_peak(main, ["gen", "--d", "2", "--n-max", "12", "--out", str(out)])
+    table = formats._MAGNITUDE_WIDTH * np.unique(np.abs(C.entries.view(float))).size
+    assert peak < out.stat().st_size + table
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 12), (2, 4)])
+def test_streamed_files_equal_the_joined_text(tmp_path, monkeypatch, d, n_max):
+    # gen and compose write their pieces one by one; the file is the joined text and a newline,
+    # with the row buffers cut anywhere
+    src, out = tmp_path / "C.json", tmp_path / "CC.json"
+    files = []
+    for block in (None, 1, 7, 64):
+        if block:
+            monkeypatch.setattr(formats, "_ROW_BLOCK", block)
+        assert main(["gen", "--d", str(d), "--n-max", str(n_max), "--out", str(src)]) == 0
+        assert main(["compose", "--in", str(src), "--in", str(src), "--out", str(out)]) == 0
+        files.append((src.read_text(), out.read_text()))
+    text, composed = files[0]
+    assert all(pair == files[0] for pair in files)
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    C = tw.wong_from_json(text)
+    meta = {k: v for k, v in json.loads(text).items() if k in ("config", "version")}
+    assert text == tw.wong_to_json(C, meta) + "\n"
+    meta["config"] = {"inputs": [str(src)] * 2}
+    assert composed == tw.wong_to_json(tw.twisted_convolution_coeff(C, C), meta) + "\n"

@@ -1,4 +1,3 @@
-import errno
 import struct
 import warnings
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 import twcalc as tw
-from twcalc import formats
 from twcalc.errors import GridMismatchError, TruncationError
 from twcalc.phase_space import check_boundary
 
@@ -306,30 +304,14 @@ def test_grid_binary_round_trip(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
-class _FullDisk:
-    """A file whose writes fail as on a full disk."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def writelines(self, pieces):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def test_failed_grid_write_leaves_no_file(tmp_path, monkeypatch):
+def test_failed_grid_write_leaves_no_file(tmp_path, full_disk):
     # write_grid writes one file, so a directory at the path + ".json" a sidecar would take does not fail it
     path = tmp_path / "grid.twc"
     (tmp_path / "grid.twc.json").mkdir()
     tw.write_grid(path, tw.hermite_wong_eval(((0,), (0,)), L, 16))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.twc", "grid.twc.json"]
     path.unlink()
-    monkeypatch.setattr(formats, "open", lambda *a: _FullDisk(open(*a)), raising=False)
+    full_disk()
     with pytest.raises(OSError, match="No space"):
         tw.write_grid(path, tw.hermite_wong_eval(((0,), (0,)), L, 16))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.twc.json"]
