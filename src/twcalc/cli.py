@@ -74,6 +74,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        print(f"verify: --out {args.out} is not a regular file; the growth CSV is written beside it",
+              file=sys.stderr)
+        return 2
     if args.input:
         if args.element_flags:
             print(f"verify: --in reads the element from its file and takes no "
@@ -89,13 +93,10 @@ def cmd_verify(args) -> int:
             d=args.d, n_max=args.n_max, planted_r=args.planted_r, s_tol=args.tol)
     report["config"] = config
     report["version"] = __version__
-    growth = report.pop("growth_log_values", None)
-    files = [(args.out, [json.dumps(report, sort_keys=True, indent=1), "\n"])]
-    if growth is not None:
-        rows = [(N, float(g)) for N, g in enumerate(growth)]
-        growth_path = os.path.splitext(args.out)[0] + "_growth.csv"
-        files.append((growth_path, _csv_text(["N", "log_g_N"], rows, config)))
-    write_files(files)
+    # header only when the PSD test failed, so no earlier run's values are left beside the report
+    rows = [(N, float(g)) for N, g in enumerate(report.pop("growth_log_values", []))]
+    write_files([(args.out, [json.dumps(report, sort_keys=True, indent=1), "\n"]),
+                 (os.path.splitext(args.out)[0] + "_growth.csv", _csv_text(["N", "log_g_N"], rows, config))])
     if not report["pass"]:
         print("verify: FAIL " + report.get("reason", "estimates disagree"), file=sys.stderr)
         return 1

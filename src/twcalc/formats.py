@@ -104,19 +104,14 @@ def _coeff_rows_json(T: np.ndarray) -> Iterator[str]:
 
 
 _TEXT_BLOCK = 1 << 18              # characters per read of a coefficient file and per json.loads of rows
-_MERGE_ROWS = 1 << 18              # rows of blocks joined into one pair of arrays by _read_rows
 _DECODER = json.JSONDecoder()
 _WS = json.decoder.WHITESPACE      # the pattern json.decoder skips whitespace with
 _LAST_ROW_END = re.compile(r"\][ \t\n\r]*\]")
 _ROW_GAP = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 
 
-class _RowBlocks(list):
-    """A rows array read block by block: _row_block pairs, in row order."""
-
-
 class _NotRows(Exception):
-    """The rows array is not flat rows of numbers, so the text is read whole."""
+    """The text is not one object whose key holds flat rows of numbers, so it is read whole."""
 
 
 class _Chars:
@@ -182,79 +177,42 @@ class _Window:
         return True
 
 
-def _row_block(rows, text: str) -> tuple[np.ndarray, np.ndarray]:
-    """(index columns, last two columns) of parsed rows, as np.array makes them.
+def _row_texts(text: _Window) -> Iterator[str]:
+    """Texts "[row, ...]" of the rows array at text.at, cut at row gaps after _TEXT_BLOCK characters.
 
-    ValueError unless the rows are 2-D, numeric and without bools.  Index
-    columns that are all integers in 0..65535, without a -0.0, are kept in
-    the narrowest unsigned type that holds them, so a block of d=2 rows takes
-    about 20 bytes a row, not 48, until they are scattered.
-    """
-    arr = np.array(rows)
-    if arr.ndim != 2 or arr.dtype.kind not in "if":
-        raise ValueError
-    # numpy casts a bool among numbers to 0/1; the per-value scan runs only if the JSON text has one
-    if ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
-        raise ValueError
-    index = arr[:, :-2]
-    narrow = index.size and np.all((index >= 0) & (index <= 0xFFFF) & (index == np.floor(index))) \
-        and not np.signbit(index).any()
-    return index.astype(np.min_scalar_type(int(index.max())) if narrow else index.dtype), arr[:, -2:].copy()
-
-
-def _read_rows(text: _Window) -> _RowBlocks:
-    """The flat rows array at text.at, as json reads it; _NotRows if it is not one.
-
-    The rows text is cut at row gaps into blocks of about _TEXT_BLOCK
-    characters, each parsed by json.loads and np.array, so neither the rows
-    text nor the rows exist whole.  A block starts at a row's "[" outside any
-    string and parses as numbers only, so it holds no string and ends outside
-    one: by induction the blocks join to the array json reads.  Anything else
-    (no rows, nested arrays, strings, bools, ragged rows, an int numpy keeps
-    as an object) raises _NotRows.  Each _MERGE_ROWS rows the blocks since
-    the last merge are joined, as np.concatenate promotes their types, so the
-    rows end up in large arrays, which the allocator maps and unmaps: freed,
-    thousands of small ones would stay in the heap of the process.
+    Nothing is parsed here; _NotRows unless the array starts with a row.  A
+    cut is right if every block parses as numbers only: a block that starts
+    at a row's "[" outside any string and holds no string ends outside one,
+    so by induction the blocks join to the array json reads.
     """
     text.step("[")
     if not text.buf.startswith("[", text.at):
         raise _NotRows
-    blocks = _RowBlocks()
-    merged = rows = 0
     while True:
         if len(text.buf) - text.at < 2 * _TEXT_BLOCK and text.more():
             continue
         buf, at = text.buf, text.at
         gap = _ROW_GAP.search(buf, at + _TEXT_BLOCK)
         last = _LAST_ROW_END.search(buf, at, gap.start() + 1 if gap else len(buf))
-        if last:
-            gap = None              # the rows end before the gap
-        elif not gap:
-            if text.more():
-                continue
-            raise _NotRows
-        chunk = "[" + buf[at:(gap or last).start() + 1] + "]"
-        try:
-            blocks.append(_row_block(json.loads(chunk), chunk))
-        except ValueError:
-            raise _NotRows from None
-        rows += len(blocks[-1][0])
-        if rows >= _MERGE_ROWS:
-            blocks[merged:] = [tuple(map(np.concatenate, zip(*blocks[merged:])))]
-            merged, rows = len(blocks), 0
-        if not gap:
+        if last:                    # the rows end before the gap
             text.at = last.end()
-            return blocks
-        text.at = gap.end() - 1
+            yield "[" + buf[at:last.start() + 1] + "]"
+            return
+        if gap:
+            text.at = gap.end() - 1
+            yield "[" + buf[at:gap.start() + 1] + "]"
+        elif not text.more():
+            raise _NotRows
 
 
-def _walk_object(text: _Window, key: str) -> dict | None:
-    """The top-level JSON object of the file as json.loads builds it, key's array read by _read_rows.
+def _walk_object(text: _Window, key: str, rows) -> dict | None:
+    """The top-level JSON object of the file as json.loads builds it, key's value rows(_row_texts(text)).
 
     Keys are read with scanstring and other values with raw_decode, and a
     duplicate key keeps its last value, as in json.  None when the text is
     not a non-empty object or a separator is not where one belongs; a
-    malformed string or value raises json's error.
+    malformed string or value raises json's error, and a key that is not
+    one array of rows, or comes twice, raises _NotRows.
     """
     text.space()
     if not text.step("{"):
@@ -267,15 +225,65 @@ def _walk_object(text: _Window, key: str) -> dict | None:
         text.space()
         if not text.step(":"):
             return None
-        if name == key and text.buf.startswith("[", text.at):
-            obj[name] = _read_rows(text)
-        else:
+        if name != key:
             obj[name] = text.take(_DECODER.raw_decode)
+        elif key in obj or not text.buf.startswith("[", text.at):
+            raise _NotRows
+        else:
+            obj[name] = rows(_row_texts(text))
         text.space()
         if text.step("}"):
             return obj if text.at == len(text.buf) else None
         if not text.step(","):
             return None
+
+
+def _scatter(T: np.ndarray, key: str, blocks) -> str | None:
+    """Scatter blocks of [index..., re, im] rows into T; the message of the first bad index, or None.
+
+    blocks are (rows, text) pairs, the rows as json parsed them from text.
+    ValueError unless every row is T.ndim + 2 numbers and none a bool.  Rows
+    are scattered up to the first whose indices are not all integers in
+    0..n_max, which the message shows as one array of all the rows would.
+    """
+    k, n_max = T.ndim, T.shape[0] - 1
+    pairs = T.reshape(-1).view(np.float64).reshape(-1, 2)     # [re, im] of each entry, a view of T
+    first, bad, floats = 0, None, False
+    for rows, text in blocks:
+        try:
+            arr = np.array(rows)
+            # numpy casts a bool among numbers to 0/1; the per-value scan runs only if the JSON text has one
+            if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if" or \
+                    ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
+        floats |= arr.dtype.kind == "f"
+        index = arr[:, :k]
+        ok = np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
+        if bad is None and not ok.all():
+            i = int(np.argmin(ok))
+            bad = first + i, arr[i]
+        if bad is None:             # as floats, so signed zeros survive
+            pairs[np.ravel_multi_index(tuple(index.astype(np.intp).T), T.shape)] = arr[:, k:]
+        first += len(arr)
+    if bad is None:
+        return None
+    i, row = bad
+    return f"{key}[{i}] = {row.astype(float if floats else int).tolist()} " \
+           f"has an index that is not an integer in 0..{n_max}"
+
+
+def _header(obj, key: str) -> tuple[int, int]:
+    """(d, n_max) of a parsed coefficient object; ValueError unless both are in range and key holds a list."""
+    try:
+        d, n_max, rows = obj["d"], obj["n_max"], obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"coefficient JSON needs integers d, n_max and a list {key}: {exc!r}") from None
+    if type(d) is not int or type(n_max) is not int or d not in (1, 2) or n_max < 0 or type(rows) is not list:
+        raise ValueError(f"coefficient JSON has d={d!r}, n_max={n_max!r} and a {type(rows).__name__} "
+                         f"{key}; need integers d in {{1, 2}}, n_max >= 0 and a list")
+    return d, n_max
 
 
 def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
@@ -284,56 +292,38 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
     T has shape (n_max + 1,) * (rank * d) and rows are [index..., re, im].
     d in {1, 2} and n_max >= 0 must be JSON integers, every row rank * d + 2
     numbers and every index an integer in 0..n_max; anything else raises
-    ValueError.  json is the only tokenizer.  _walk_object reads fh in
-    windows of a few _TEXT_BLOCK characters and the flat rows in blocks,
-    which are checked and scattered into T as arrays once d and n_max are
-    known, so the peak is about the compact row arrays and T: never the text
-    or a list of all the rows.  Anything but flat rows, and text that is not
-    valid JSON, is read again whole from fh.seek(0) and parsed by json.loads,
-    so it gets json's own error or object.
+    ValueError.  json is the only tokenizer.  fh is read twice in windows of
+    a few _TEXT_BLOCK characters: the first pass steps over the rows for d
+    and n_max, T is allocated, and the second pass parses each block of rows
+    and scatters it into T, so the peak is T and one block.  The header of
+    the first pass is trusted only once every block parsed as numbers.  Any
+    other text (no rows, rows that are not rank * d + 2 numbers, the key
+    twice, a bad d or n_max, invalid JSON) is read again whole from
+    fh.seek(0) and parsed by json.loads, so it gets json's own error or
+    object.
     """
-    text = None
+    obj = None
     try:
-        obj = _walk_object(_Window(fh.read), key)
-    except (json.JSONDecodeError, UnicodeDecodeError, _NotRows):
-        obj = None
+        d, n_max = _header(_walk_object(_Window(fh.read), key, lambda blocks: list(map(len, blocks))), key)
+    except (ValueError, _NotRows):      # json's errors and UnicodeDecodeError are ValueErrors
+        pass
+    else:
+        T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
+        fh.seek(0)
+        try:
+            obj = _walk_object(_Window(fh.read), key,
+                               lambda blocks: _scatter(T, key, ((json.loads(b), b) for b in blocks)))
+        except (ValueError, _NotRows):
+            T = None                # freed before the whole text is read
     if obj is None:
         fh.seek(0)
         text = fh.read()
         obj = json.loads(text)
-    try:
-        d, n_max, rows = obj["d"], obj["n_max"], obj[key]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"coefficient JSON needs integers d, n_max and a list {key}: {exc!r}") from None
-    if type(d) is not int or type(n_max) is not int or d not in (1, 2) or n_max < 0 \
-            or not isinstance(rows, list):
-        raise ValueError(f"coefficient JSON has d={d!r}, n_max={n_max!r} and a "
-                         f"{'list' if isinstance(rows, list) else type(rows).__name__} "
-                         f"{key}; need integers d in {{1, 2}}, n_max >= 0 and a list")
-    k = rank * d
-    try:
-        blocks = rows if type(rows) is _RowBlocks else [_row_block(rows, text)] if rows else []
-        if any(index.shape[1] != k for index, _ in blocks):
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
-    del obj, rows, text             # a materialized list of rows dominates peak memory; free it before T
-    first = 0
-    for index, parts in blocks:
-        bad = ~np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            # as one array of all the rows would show it: float if any block is
-            row = np.concatenate([index[i], parts[i]])
-            row = row.astype(float if any(p.dtype.kind == "f" for _, p in blocks) else int).tolist()
-            raise ValueError(f"{key}[{first + i}] = {row} has an index that is not an integer in 0..{n_max}")
-        first += len(index)
-    T = np.zeros((n_max + 1,) * k, dtype=complex)
-    pairs = T.reshape(-1).view(np.float64).reshape(-1, 2)     # [re, im] of each entry, a view of T
-    for index, parts in blocks:
-        if index.dtype.kind == "f":
-            index = index.astype(np.intp)     # exact, as checked above; a -0.0 kept it from being narrowed
-        pairs[np.ravel_multi_index(tuple(index.T), T.shape)] = parts     # as floats, so signed zeros survive
+        d, n_max = _header(obj, key)
+        T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
+        obj[key] = _scatter(T, key, [(obj[key], text)] if obj[key] else [])
+    if obj[key]:                    # _scatter's message of the first bad index
+        raise ValueError(obj[key])
     return d, n_max, T
 
 
@@ -382,10 +372,10 @@ def matrix_from_json(text: str) -> tuple[int, int, np.ndarray]:
 
 
 def read_matrix(path) -> tuple[int, int, np.ndarray]:
-    """(d, n_max, entries) of the matrix_json file at path, read in windows, never whole.
+    """(d, n_max, entries) of the matrix_json file at path, read twice in windows, never whole.
 
-    A file that cannot seek (a pipe) is read whole first, so malformed text
-    can be parsed again by json.loads for its error.
+    A file that cannot seek (a pipe) is read whole first, since the reader
+    goes back to its start for the second pass and for malformed text.
     """
     with open(path) as fh:
         return _matrix(fh if fh.seekable() else _Chars(fh.read()))

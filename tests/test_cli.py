@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import twcalc as tw
+from twcalc import formats
 from twcalc.cli import main
 
 
@@ -96,13 +97,19 @@ def test_verify_default_passes(tmp_path):
 
 
 def test_verify_tampered_matrix_exits_1(tmp_path):
-    bad = tmp_path / "bad.json"
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     C, _ = tw.random_positive_element(2, 0.5, 1.0, seed=2, n_max=8)
+    good.write_text(tw.wong_to_json(C))
     bad.write_text(tw.wong_to_json(tw.WongCoeffMatrix(1, 8, -C.entries)))
-    out = tmp_path / "report.json"
+    out, growth = tmp_path / "report.json", tmp_path / "report_growth.csv"
+    assert run(["verify", "--in", good, "--out", out]) in (0, 1)
+    assert len(growth.read_text().splitlines()) == 2 + 41
     assert run(["verify", "--in", bad, "--out", out]) == 1
     report = json.loads(out.read_text())
     assert not report["pass"] and report["witness"] is not None
+    # the earlier run's growth values, under the same config header, are not left beside the new report
+    lines = growth.read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# {") and lines[1] == "N,log_g_N"
 
 
 def test_verify_missing_file_exits_2(tmp_path):
@@ -266,6 +273,22 @@ def test_fifo_is_written_and_read_in_place(tmp_path, monkeypatch, capsys):
         assert run(["verify", "--in", "fifo", "--out", "r.json"]) == code
         writer.join(10)
         assert (capsys.readouterr(), Path("r.json").read_bytes() if code < 2 else None) == expected
+
+
+def test_verify_refuses_an_out_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys):
+    # the growth CSV goes to <out>_growth.csv, which a FIFO or /dev/stdout has no place for;
+    # verify only stats the FIFO, and opening it would fail the test rather than wait for a reader
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+
+    def guarded_open(path, *args, **kwargs):
+        assert os.path.basename(path) != "fifo", "verify opened its FIFO --out"
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "open", guarded_open, raising=False)
+    assert run(["verify", "--n-max", 4, "--N-max", 8, "--out", "fifo"]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert os.listdir() == ["fifo"]
 
 
 def test_verify_input_records_the_matrix_config(tmp_path):
