@@ -166,9 +166,10 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     and a factor on B's samples.  Each output row is then a sum over p of
     linear convolutions along the second axis, done as one contraction over
     p per frequency: O(n^3 log n) time for the factor, O(n^3) per slice.
-    Memory stays at about 1 MB of FFT rows per block of output rows, plus
-    O(n nfft) per slice; the rows m whose shifted samples of a fall off the
-    grid for the whole block are skipped, as their terms are exact zeros.
+    Blocks of output rows share one buffer of about 1 MB of FFT rows, which
+    is gathered into, phased and transformed in place, plus O(n nfft) per
+    slice; the rows m whose shifted samples of a fall off the grid for the
+    whole block are skipped, as their terms are exact zeros.
     A second factor that is not numeric or holds a non-finite value, and a
     non-finite result, raise ValueError.
     """
@@ -195,20 +196,26 @@ def twisted_apply(a: GridFunction, B: np.ndarray, strict: bool = True) -> np.nda
     # so row i + 2h - m holds p = i + h - m, or zeros where p is off the grid
     ap = np.zeros((2 * n - 1, n), dtype=complex)
     ap[h:h + n] = a.values * E
-    rows = np.arange(n)
     out = np.empty(Bs.shape, dtype=complex)
     blk = max(1, _FFT_BLOCK // (n * nfft))
     # an overflow shows as a non-finite result, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         Bh = np.fft.fft(Bs * np.conj(E), nfft, axis=-1).transpose(2, 1, 0)  # [f, m, s]
+        # one FFT buffer [i, m, f] for every block, filled and transformed in place,
+        # so the heap is not grown and trimmed block by block; columns n: are padding
+        buf = np.zeros((min(blk, n), min(n, blk + 2 * h), nfft), dtype=complex)
         for i0 in range(0, n, blk):
-            i = slice(i0, i0 + blk)
-            m = slice(max(0, i0 - h), min(n, i0 + blk + h))    # rows m with p on the grid
-            T = ap[rows[i, None] + 2 * h - rows[m]]                         # [i, m, q]
-            T *= np.conj(E[i, None]) ** 2
-            Th = np.fft.fft(T, nfft, axis=-1).transpose(2, 0, 1)            # [f, i, m]
-            conv = np.fft.ifft(Th @ Bh[:, m], axis=0)[h:h + n]              # [k, i, s]
-            out[:, i] = conv.transpose(2, 1, 0) * E[i]
+            i1 = min(n, i0 + blk)
+            m0, m1 = max(0, i0 - h), min(n, i0 + blk + h)      # rows m with p on the grid
+            Th = buf[:i1 - i0, :m1 - m0]                                    # [i, m, f]
+            Th[..., n:] = 0.0
+            T = Th[..., :n]                                                 # [i, m, q]
+            for j, r in enumerate(range(i0 + 2 * h - m1 + 1, i1 + 2 * h - m1 + 1)):
+                T[j] = ap[r:r + m1 - m0][::-1]                 # row i + 2h - m at m = m0, m0 + 1, ...
+            T *= np.conj(E[i0:i1, None]) ** 2
+            np.fft.fft(Th, axis=-1, out=Th)
+            conv = np.fft.ifft(Th.transpose(2, 0, 1) @ Bh[:, m0:m1], axis=0)[h:h + n]   # [k, i, s]
+            out[:, i0:i1] = conv.transpose(2, 1, 0) * E[i0:i1]
         out *= (2.0 / np.pi) ** 0.5 * a.spacing ** 2
     if not np.isfinite(out).all():
         raise ValueError("twisted convolution overflowed: the result is not finite")

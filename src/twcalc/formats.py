@@ -114,6 +114,10 @@ class _NotRows(Exception):
     """The text is not one object whose key holds flat rows of numbers, so it is read whole."""
 
 
+class _NotNumbers(ValueError):
+    """A row of valid JSON is not T.ndim + 2 numbers."""
+
+
 class _Chars:
     """read(size) and seek(0) over a str, without the 4 bytes a character io.StringIO takes."""
 
@@ -242,7 +246,7 @@ def _scatter(T: np.ndarray, key: str, blocks) -> str | None:
     """Scatter blocks of [index..., re, im] rows into T; the message of the first bad index, or None.
 
     blocks are (rows, text) pairs, the rows as json parsed them from text.
-    ValueError unless every row is T.ndim + 2 numbers and none a bool.  Rows
+    _NotNumbers unless every row is T.ndim + 2 numbers and none a bool.  Rows
     are scattered up to the first whose indices are not all integers in
     0..n_max, which the message shows as one array of all the rows would.
     """
@@ -257,7 +261,7 @@ def _scatter(T: np.ndarray, key: str, blocks) -> str | None:
                     ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
                 raise ValueError
         except ValueError:
-            raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
+            raise _NotNumbers(f"{key} must be a list of rows of {k + 2} numbers") from None
         floats |= arr.dtype.kind == "f"
         index = arr[:, :k]
         ok = np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
@@ -296,11 +300,15 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
     a few _TEXT_BLOCK characters: the first pass steps over the rows for d
     and n_max, T is allocated, and the second pass parses each block of rows
     and scatters it into T, so the peak is T and one block.  The header of
-    the first pass is trusted only once every block parsed as numbers.  Any
-    other text (no rows, rows that are not rank * d + 2 numbers, the key
-    twice, a bad d or n_max, invalid JSON) is read again whole from
-    fh.seek(0) and parsed by json.loads, so it gets json's own error or
-    object.
+    the first pass is trusted only once every block parsed as numbers.  A
+    block that parses but holds a row that is not rank * d + 2 numbers is
+    refused at once: its cuts are cuts json makes too, as every block
+    before it parsed, and the first pass walked the rest of the object with
+    the key once.  So the later blocks are not read, and text json would
+    refuse in one of them gives the row's message, not json's.  Any other
+    text (no rows, the key twice, a bad d or n_max, invalid JSON) is read
+    again whole from fh.seek(0) and parsed by json.loads, so it gets json's
+    own error or object.
     """
     obj = None
     try:
@@ -313,6 +321,8 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
         try:
             obj = _walk_object(_Window(fh.read), key,
                                lambda blocks: _scatter(T, key, ((json.loads(b), b) for b in blocks)))
+        except _NotNumbers:
+            raise                   # the first pass walked the whole object, with the key once
         except (ValueError, _NotRows):
             T = None                # freed before the whole text is read
     if obj is None:

@@ -105,11 +105,58 @@ def check_boundary(f: GridFunction, strict: bool, threshold: float = BOUNDARY_TH
         warnings.warn(msg, stacklevel=3)
 
 
+def _read_only(*arrays: np.ndarray):
+    """The arrays, made read-only: cached constants are shared by every later call."""
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _dft_kernel(L: float, n: int) -> np.ndarray:
-    """E[m, k] = exp(-2i x_m x_k) on the axis grid; symmetric."""
+    """E[m, k] = exp(-2i x_m x_k) on the axis grid; symmetric and read-only."""
     x = np.linspace(-L, L, n)
-    return np.exp(-2j * np.outer(x, x))
+    E = np.exp(-2j * np.outer(x, x))
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=8)
+def _wigner_plan(n: int):
+    """idx, pc and off of ``wigner``'s pair map on n points, read-only."""
+    idx = np.arange(n)
+    pos = 2 * idx[:, None] - idx[None, :]
+    return _read_only(idx, np.clip(pos, 0, n - 1), (pos < 0) | (pos >= n))
+
+
+@lru_cache(maxsize=8)
+def _kernel_plan(L: float, n: int):
+    """S_odd, P_even, P_odd, at_R and at_c of ``_kernel_pair_map`` on the (L, n) grid, read-only."""
+    dx = 2.0 * L / (n - 1)                                   # as GridFunction.spacing
+    axis = np.linspace(-L, L, n)
+    u_odd = np.linspace(-L, L, 2 * n - 1)[1::2]
+    S_odd = np.sinc((u_odd[:, None] - axis[None, :]) / dx)
+    # n columns per parity; the last one, v = 2L + dx, only pads the shorter parity
+    v = -2 * L + dx * np.arange(2 * n)
+    P = (2.0 * np.pi) ** -0.5 * dx * np.exp(1j * np.outer(axis, v))
+    P_even = np.ascontiguousarray(P[:, (n - 1) % 2::2])
+    P_odd = np.ascontiguousarray(P[:, n % 2::2])
+    # Q[R, t, c] holds [Q_even; Q_odd]: K[t, i, j] sits at R = r // 2 + n (r % 2), c = s // 2
+    i = np.arange(n)
+    r = i[None, :] - i[:, None] + (n - 1)
+    at_R, at_c = r // 2 + n * (r % 2), (2 * (n - 1) - (i[:, None] + i[None, :])) // 2
+    return _read_only(S_odd, P_even, P_odd, at_R, at_c)
+
+
+@lru_cache(maxsize=8)
+def _inverse_plan(L: float, n: int):
+    """Ec, lo, hi and off of ``_inverse_pair_map`` on the (L, n) grid, read-only."""
+    h = (n - 1) // 2
+    i = np.arange(n)
+    lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
+    hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
+    off = (lo < 0) | (lo >= n) | (hi < 0) | (hi >= n)
+    return _read_only(np.conj(_dft_kernel(L, n)), np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), off)
 
 
 def _pair_slabs(j: int, *arrays: np.ndarray):
@@ -179,14 +226,11 @@ def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunctio
     n = f.points_per_axis
     E = _dft_kernel(f.box_half_width, n)
     const = (2.0 * np.pi) ** -0.5 * (2.0 * f.spacing)
-    idx = np.arange(n)
-    pos = 2 * idx[:, None] - idx[None, :]
-    ok = (pos >= 0) & (pos < n)
-    pc = np.clip(pos, 0, n - 1)
+    idx, pc, off = _wigner_plan(n)
 
     def pair_map(F):                                         # [t, u, v] -> [t, x, xi]
         corr = F[:, idx, pc]                                 # F(x_m, x_{2i-m}) at [t, i, m]
-        corr[:, ~ok] = 0.0
+        corr[:, off] = 0.0
         W = (corr.reshape(-1, n) @ E).reshape(corr.shape)
         W *= const
         W *= np.conj(E)
@@ -272,20 +316,7 @@ def _kernel_pair_map(a: GridFunction, strict: bool):
         raise ValueError("kernel_map_A_grid expects a phase-space function (dims 2 or 4)")
     check_boundary(a, strict, what="kernel map input")
     n = a.points_per_axis
-    L = a.box_half_width
-    dx = a.spacing
-    axis = a.axis()
-    u_odd = np.linspace(-L, L, 2 * n - 1)[1::2]
-    S_odd = np.sinc((u_odd[:, None] - axis[None, :]) / dx)
-    # n columns per parity; the last one, v = 2L + dx, only pads the shorter parity
-    v = -2 * L + dx * np.arange(2 * n)
-    P = (2.0 * np.pi) ** -0.5 * dx * np.exp(1j * np.outer(axis, v))
-    P_even = np.ascontiguousarray(P[:, (n - 1) % 2::2])
-    P_odd = np.ascontiguousarray(P[:, n % 2::2])
-    # Q[R, t, c] holds [Q_even; Q_odd]: K[t, i, j] sits at R = r // 2 + n (r % 2), c = s // 2
-    i = np.arange(n)
-    r = i[None, :] - i[:, None] + (n - 1)
-    at_R, at_c = r // 2 + n * (r % 2), (2 * (n - 1) - (i[:, None] + i[None, :])) // 2
+    S_odd, P_even, P_odd, at_R, at_c = _kernel_plan(a.box_half_width, n)
     flat_at = {}                                             # t -> flat indices [t, i, j] into Q
 
     def pair_map(b):                                         # [t, x, xi] -> [t, x, y]
@@ -321,19 +352,13 @@ def _inverse_pair_map(box_half_width: float, n: int):
     """The pair map [t, x, y] -> [t, x, xi] of ``inverse_kernel_map_grid``; n odd."""
     if n % 2 == 0:
         raise ValueError("inverse kernel map needs an odd points_per_axis")
-    Ec = np.conj(_dft_kernel(box_half_width, n))
+    Ec, lo, hi, off = _inverse_plan(box_half_width, n)
     dx = np.linspace(-box_half_width, box_half_width, n, retstep=True)[1]   # NaN at n = 1, not an error
     const = (2.0 * np.pi) ** -0.5 * (2.0 * dx)
-    h = (n - 1) // 2
-    i = np.arange(n)
-    lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
-    hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
-    ok = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
-    lo, hi = np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
 
     def pair_map(k):                                         # [t, x, y] -> [t, x, xi]
         k = k[:, lo, hi]                                     # K(w - x, w + x) at [t, i, m]
-        k[:, ~ok] = 0.0
+        k[:, off] = 0.0
         out = (k.reshape(-1, n) @ Ec).reshape(k.shape)
         out *= const
         return out

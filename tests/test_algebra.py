@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -306,12 +309,21 @@ def test_grid_convolution_on_a_101_point_grid(wong_cache):
     assert l2_gap(out, wong_cache(((0,), (3,)), L, 101)) < 1e-5
 
 
+def _scipy_fft(x, n=None, axis=-1, out=None):
+    # scipy.fft.fft has no out=; its result is written into out as numpy's is
+    y = scipy.fft.fft(x, n, axis=axis)
+    if out is None:
+        return y
+    out[...] = y
+    return out
+
+
 @pytest.mark.parametrize("n", [17, 21, 73, 85])
 def test_twisted_apply_equals_the_scipy_fft_route_bitwise(rng, n, monkeypatch):
     a = tw.GridFunction(2, L, n, _decaying(rng, L, n))
     B = np.stack([_decaying(rng, L, n) for _ in range(2)])
     got = tw.twisted_apply(a, B)
-    monkeypatch.setattr(np.fft, "fft", scipy.fft.fft)
+    monkeypatch.setattr(np.fft, "fft", _scipy_fft)
     monkeypatch.setattr(np.fft, "ifft", scipy.fft.ifft)
     assert got.tobytes() == tw.twisted_apply(a, B).tobytes()
 
@@ -328,6 +340,37 @@ def test_twisted_apply_peaks_below_4_mb_at_n_73(rng):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+# the minor page faults of the third twisted_apply at n = 73 in a fresh interpreter: there
+# the first call's FFT buffer is mapped apart from the heap, and the second grows the heap
+FAULTS = """
+import resource
+import numpy as np
+import twcalc as tw
+n, L = 73, 8.0
+x = np.linspace(-L, L, n)
+rng = np.random.default_rng(5)
+env = np.exp(-0.5 * (x[:, None] ** 2 + x[None, :] ** 2))
+a, b = ((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * env for _ in range(2))
+a = tw.GridFunction(2, L, n, a)
+tw.twisted_apply(a, b)
+tw.twisted_apply(a, b)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+tw.twisted_apply(a, b)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_twisted_apply_at_n_73_takes_few_page_faults():
+    # one FFT buffer reused by every block: per-block temporaries of about 1 MB made the
+    # heap shrink and fault in again, about 1000 faults a call
+    pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULTS], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50
 
 
 @pytest.mark.parametrize("B", [np.full((73, 73), np.nan), np.full((73, 73), 1e308),

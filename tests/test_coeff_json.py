@@ -234,7 +234,8 @@ def coeff_texts(draw):
 @given(case=coeff_texts(), block=st.integers(16, 64))
 # a bool after a block of numbers, an int beyond int64 in a block of ints, a valid value then an invalid or valid one,
 # text json refuses in a later block, a bad index after int and float blocks and one before a float block,
-# indices past 2048 in one-row blocks
+# indices past 2048 in one-row blocks, a row of a string before later blocks, before a second valid value
+# of the key, and before text after the object
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 0, "entries": [[0, 0, 1.0, 0.0]], "entries": [[0, 0, "x", 0]]}', "entries", 2), 16)
@@ -244,6 +245,9 @@ def coeff_texts(draw):
 @example(('{"d": 1, "n_max": 2, "entries": [[0, 9, 1, 0], [0, 1, 2, 0], [0, 0, 0.5, 0.0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 65535, "coeffs": [[2049, 1.5, 0.0], [2051, 2.5, -0.0], [65535, 3.5, 0.0]]}', "coeffs", 1),
          16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, "x", 0], [1, 1, 2.0, 0.0], [0, 1, 1, 2, 3]]}', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 0, "entries": [[0, 0, "x", 0]], "entries": [[0, 0, 1.0, 0.0]]}', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, "x", 0], [1, 1, 2.0, 0.0]]} x', "entries", 2), 16)
 def test_block_reader_equals_whole_list_reader(case, block):
     # windows and blocks of 16-64 characters, so the rows of one text span many of them and the
     # windows cut numbers, keys, whitespace, the BOM and the "]], [[" strings
@@ -320,6 +324,29 @@ def test_read_peak_is_the_matrix_and_a_few_blocks(tmp_path, monkeypatch, n_max):
     path = tmp_path / "C.json"
     path.write_text(tw.wong_to_json(C))
     assert _traced_peak(tw.read_wong, path) <= C.entries.nbytes + 28 * formats._TEXT_BLOCK
+
+
+def test_a_row_that_is_not_numbers_is_refused_within_the_blocks(tmp_path, monkeypatch, capsys):
+    # the last row's imaginary part "x" in a 1.6 MB file: json.loads of the whole text builds
+    # every row, about 17 times the file; the windowed pass refuses it at the matrix and a few blocks
+    monkeypatch.setattr(formats, "_TEXT_BLOCK", 1 << 14)
+    C = _dense_d2(12)
+    text = tw.wong_to_json(C)
+    end = text.rindex("]]")
+    text = text[:text.rindex(", ", 0, end)] + ', "x"' + text[end:]
+    path = tmp_path / "C.json"
+    path.write_text(text)
+    message = _outcome(_coeff_tensor_whole, text, "entries", 2)
+    assert message == "entries must be a list of rows of 6 numbers"
+
+    def read():
+        with pytest.raises(ValueError) as err:
+            tw.read_wong(path)
+        assert str(err.value) == message
+
+    assert _traced_peak(read) <= C.entries.nbytes + 28 * formats._TEXT_BLOCK
+    assert main(["verify", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_writer_peak_stays_below_three_times_its_text(monkeypatch):

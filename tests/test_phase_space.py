@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import twcalc as tw
+from twcalc import phase_space as ps
 from twcalc.errors import GridMismatchError, TruncationError
 from twcalc.phase_space import check_boundary
 
@@ -46,6 +47,21 @@ def test_wigner_cross_terms_are_orthonormal():
     assert W01.norm() == pytest.approx(1.0, abs=1e-10)
     assert abs(W00.inner(W01)) < 1e-10
     assert np.max(np.abs(W01.values.imag)) > 1e-3  # genuinely complex
+
+
+@pytest.mark.parametrize("plan, args", [(ps._dft_kernel, (8.0, 33)), (ps._wigner_plan, (33,)),
+                                        (ps._kernel_plan, (8.0, 33)), (ps._inverse_plan, (8.0, 33))],
+                         ids=["dft_kernel", "wigner", "kernel_map", "inverse_kernel_map"])
+def test_cached_constants_are_read_only(plan, args):
+    # a write to a cached array would change every later call on the same grid
+    arrays = plan(*args)
+    arrays = arrays if isinstance(arrays, tuple) else (arrays,)
+    before = [x.tobytes() for x in arrays]
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0
+    again = plan(*args)
+    assert [x.tobytes() for x in (again if isinstance(again, tuple) else (again,))] == before
 
 
 def test_wigner_rejects_mismatched_grids():
