@@ -242,11 +242,14 @@ def _walk_object(text: _Window, key: str, rows) -> dict | None:
             return None
 
 
-def _scatter(T: np.ndarray, key: str, blocks) -> str | None:
+def _scatter(T: np.ndarray, key: str, blocks, whole: bool = False) -> str | None:
     """Scatter blocks of [index..., re, im] rows into T; the message of the first bad index, or None.
 
     blocks are (rows, text) pairs, the rows as json parsed them from text.
-    _NotNumbers unless every row is T.ndim + 2 numbers and none a bool.  Rows
+    _NotNumbers unless every row is T.ndim + 2 numbers and none a bool.  A
+    block numpy holds as uint64 or objects, as it may hold ints beyond
+    int64, raises a plain ValueError unless whole says it is all the rows:
+    a float in another block makes one array of all of them float64.  Rows
     are scattered up to the first whose indices are not all integers in
     0..n_max, which the message shows as one array of all the rows would.
     """
@@ -257,11 +260,13 @@ def _scatter(T: np.ndarray, key: str, blocks) -> str | None:
         try:
             arr = np.array(rows)
             # numpy casts a bool among numbers to 0/1; the per-value scan runs only if the JSON text has one
-            if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if" or \
+            if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in ("if" if whole else "ifuO") or \
                     ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
                 raise ValueError
         except ValueError:
             raise _NotNumbers(f"{key} must be a list of rows of {k + 2} numbers") from None
+        if arr.dtype.kind in "uO":
+            raise ValueError("a block of rows that is not int64 or float64")
         floats |= arr.dtype.kind == "f"
         index = arr[:, :k]
         ok = np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
@@ -301,14 +306,15 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
     and n_max, T is allocated, and the second pass parses each block of rows
     and scatters it into T, so the peak is T and one block.  The header of
     the first pass is trusted only once every block parsed as numbers.  A
-    block that parses but holds a row that is not rank * d + 2 numbers is
-    refused at once: its cuts are cuts json makes too, as every block
-    before it parsed, and the first pass walked the rest of the object with
-    the key once.  So the later blocks are not read, and text json would
-    refuse in one of them gives the row's message, not json's.  Any other
-    text (no rows, the key twice, a bad d or n_max, invalid JSON) is read
-    again whole from fh.seek(0) and parsed by json.loads, so it gets json's
-    own error or object.
+    block that parses but holds a row that is not rank * d + 2 numbers (a
+    wrong width, a string, a bool) is refused at once: its cuts are cuts
+    json makes too, as every block before it parsed, and the first pass
+    walked the rest of the object with the key once.  So the later blocks
+    are not read, and text json would refuse in one of them gives the row's
+    message, not json's.  Any other text (no rows, ints beyond int64, the
+    key twice, a bad d or n_max, invalid JSON) is read again whole from
+    fh.seek(0) and parsed by json.loads, so it gets json's own error or
+    object.
     """
     obj = None
     try:
@@ -331,7 +337,7 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
         obj = json.loads(text)
         d, n_max = _header(obj, key)
         T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
-        obj[key] = _scatter(T, key, [(obj[key], text)] if obj[key] else [])
+        obj[key] = _scatter(T, key, [(obj[key], text)] if obj[key] else [], whole=True)
     if obj[key]:                    # _scatter's message of the first bad index
         raise ValueError(obj[key])
     return d, n_max, T

@@ -116,9 +116,7 @@ def _read_only(*arrays: np.ndarray):
 def _dft_kernel(L: float, n: int) -> np.ndarray:
     """E[m, k] = exp(-2i x_m x_k) on the axis grid; symmetric and read-only."""
     x = np.linspace(-L, L, n)
-    E = np.exp(-2j * np.outer(x, x))
-    E.flags.writeable = False
-    return E
+    return _read_only(np.exp(-2j * np.outer(x, x)))[0]
 
 
 @lru_cache(maxsize=8)
@@ -149,14 +147,14 @@ def _kernel_plan(L: float, n: int):
 
 
 @lru_cache(maxsize=8)
-def _inverse_plan(L: float, n: int):
-    """Ec, lo, hi and off of ``_inverse_pair_map`` on the (L, n) grid, read-only."""
+def _inverse_plan(n: int):
+    """lo, hi and off of ``_inverse_pair_map`` on n points, read-only."""
     h = (n - 1) // 2
     i = np.arange(n)
     lo = (i[None, :] - i[:, None]) + h      # index of w - x   [i, m]
     hi = (i[None, :] + i[:, None]) - h      # index of w + x   [i, m]
     off = (lo < 0) | (lo >= n) | (hi < 0) | (hi >= n)
-    return _read_only(np.conj(_dft_kernel(L, n)), np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), off)
+    return _read_only(np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1), off)
 
 
 def _pair_slabs(j: int, *arrays: np.ndarray):
@@ -352,7 +350,8 @@ def _inverse_pair_map(box_half_width: float, n: int):
     """The pair map [t, x, y] -> [t, x, xi] of ``inverse_kernel_map_grid``; n odd."""
     if n % 2 == 0:
         raise ValueError("inverse kernel map needs an odd points_per_axis")
-    Ec, lo, hi, off = _inverse_plan(box_half_width, n)
+    lo, hi, off = _inverse_plan(n)
+    Ec = np.conj(_dft_kernel(box_half_width, n))
     dx = np.linspace(-box_half_width, box_half_width, n, retstep=True)[1]   # NaN at n = 1, not an error
     const = (2.0 * np.pi) ** -0.5 * (2.0 * dx)
 

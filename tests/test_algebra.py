@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -362,10 +363,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"),
+                    reason="the fault count is glibc malloc's trim and mmap-threshold behaviour")
 def test_twisted_apply_at_n_73_takes_few_page_faults():
     # one FFT buffer reused by every block: per-block temporaries of about 1 MB made the
-    # heap shrink and fault in again, about 1000 faults a call
-    pytest.importorskip("resource")
+    # glibc heap shrink and fault in again, about 1000 faults a call
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", FAULTS], env=env, capture_output=True, text=True, timeout=120)

@@ -232,12 +232,17 @@ def coeff_texts(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=coeff_texts(), block=st.integers(16, 64))
-# a bool after a block of numbers, an int beyond int64 in a block of ints, a valid value then an invalid or valid one,
+# a bool after a block of numbers, an int beyond int64 in a block of ints, a block of ints that numpy holds as
+# uint64 or as objects after a block with a float, a valid value then an invalid or valid one,
 # text json refuses in a later block, a bad index after int and float blocks and one before a float block,
 # indices past 2048 in one-row blocks, a row of a string before later blocks, before a second valid value
 # of the key, and before text after the object
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [0, 1, 2, 0], [1, 1, 100000000000000000000, 0]]}',
+          "entries", 2), 16)
+@example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [0, 1, 2, 0], [10000000000000000000, '
+          '10000000000000000000, 10000000000000000000, 10000000000000000000]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 0, "entries": [[0, 0, 1.0, 0.0]], "entries": [[0, 0, "x", 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0]], "entries": [[1, 1, 2.0, 0.0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, tru, 0]]}', "entries", 2), 16)

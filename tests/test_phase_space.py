@@ -50,7 +50,7 @@ def test_wigner_cross_terms_are_orthonormal():
 
 
 @pytest.mark.parametrize("plan, args", [(ps._dft_kernel, (8.0, 33)), (ps._wigner_plan, (33,)),
-                                        (ps._kernel_plan, (8.0, 33)), (ps._inverse_plan, (8.0, 33))],
+                                        (ps._kernel_plan, (8.0, 33)), (ps._inverse_plan, (33,))],
                          ids=["dft_kernel", "wigner", "kernel_map", "inverse_kernel_map"])
 def test_cached_constants_are_read_only(plan, args):
     # a write to a cached array would change every later call on the same grid
