@@ -1,6 +1,7 @@
 """The package's file formats: coefficient JSON, for HermiteCoeffVector ("coeffs") and
 Wong matrices ("entries", behind algebra.read_wong/write_wong and wong_from_json/wong_to_json),
-and binary TWCG grids.  Every output is written by write_files.
+and binary TWCG grids.  Every output is written by write_files, and every coefficient JSON
+text is read by _coeff_tensor, in windows and never whole.
 """
 
 from __future__ import annotations
@@ -110,14 +111,6 @@ _LAST_ROW_END = re.compile(r"\][ \t\n\r]*\]")
 _ROW_GAP = re.compile(r"\][ \t\n\r]*,[ \t\n\r]*\[")
 
 
-class _NotRows(Exception):
-    """The text is not one object whose key holds flat rows of numbers, so it is read whole."""
-
-
-class _NotNumbers(ValueError):
-    """A row of valid JSON is not T.ndim + 2 numbers."""
-
-
 class _Chars:
     """read(size) and seek(0) over a str, without the 4 bytes a character io.StringIO takes."""
 
@@ -134,10 +127,10 @@ class _Chars:
 
 
 class _Window:
-    """A text file read in windows: buf[at:] has been read and not yet consumed."""
+    """A text file read in windows: buf[at:] is read and not yet consumed, and buf starts at character start."""
 
     def __init__(self, read):
-        self.read, self.buf, self.at = read, "", 0
+        self.read, self.buf, self.at, self.start = read, "", 0, 0
 
     def more(self) -> bool:
         """Drop the consumed text and read on; False, changing nothing, at the end of the file.
@@ -148,24 +141,31 @@ class _Window:
         piece = self.read(max(_TEXT_BLOCK, len(self.buf) - self.at))
         if not piece:
             return False
+        self.start += self.at
         self.buf = self.buf[self.at:] + piece
         self.at = 0
         return True
 
-    def take(self, match):
-        """The value of match(buf, at) -> (value, end), and at moves to end.
+    def error(self, what: str, at: int | None = None) -> ValueError:
+        return ValueError(f"coefficient JSON at character {self.start + (self.at if at is None else at)}: {what}")
 
-        While match fails or ends at the end of the window, it is retried on
-        more text, so a number or a string is never cut by a window.
+    def take(self, match):
+        """The value of match(buf, at) -> (value, end), and at moves to end; no value is cut by a window.
+
+        A match that ends within 2 characters of the window's end may be a
+        number cut short ("3.25e" of "3.25e-07"), and json fails on a value the
+        window cuts in an unterminated string or within the longest literal,
+        "-Infinity", of the end.  Both are retried on more text.
         """
         while True:
             try:
                 value, end = match(self.buf, self.at)
-            except json.JSONDecodeError:
-                if self.more():
+            except json.JSONDecodeError as exc:
+                if (len(self.buf) - exc.pos < len("-Infinity") or exc.msg.startswith("Unterminated string")) \
+                        and self.more():
                     continue
-                raise
-            if end < len(self.buf) or not self.more():
+                raise self.error(exc.msg, exc.pos) from None
+            if end < len(self.buf) - 2 or not self.more():
                 self.at = end
                 return value
 
@@ -180,18 +180,25 @@ class _Window:
         self.space()
         return True
 
+    def expect(self, char: str):
+        if not self.step(char):
+            raise self.error(f"expected {char!r}")
+
 
 def _row_texts(text: _Window) -> Iterator[str]:
     """Texts "[row, ...]" of the rows array at text.at, cut at row gaps after _TEXT_BLOCK characters.
 
-    Nothing is parsed here; _NotRows unless the array starts with a row.  A
-    cut is right if every block parses as numbers only: a block that starts
-    at a row's "[" outside any string and holds no string ends outside one,
-    so by induction the blocks join to the array json reads.
+    Nothing is parsed here; ValueError unless the array is empty or starts
+    with a row, or if the file ends inside it.  A cut is right if every
+    block parses as numbers only: a block that starts at a row's "[" outside
+    any string and holds no string ends outside one, so by induction the
+    blocks join to the array json reads.
     """
     text.step("[")
+    if text.step("]"):
+        return
     if not text.buf.startswith("[", text.at):
-        raise _NotRows
+        raise text.error("expected a row")
     while True:
         if len(text.buf) - text.at < 2 * _TEXT_BLOCK and text.more():
             continue
@@ -206,81 +213,70 @@ def _row_texts(text: _Window) -> Iterator[str]:
             text.at = gap.end() - 1
             yield "[" + buf[at:gap.start() + 1] + "]"
         elif not text.more():
-            raise _NotRows
+            raise text.error("the file ends inside the rows", len(buf))
 
 
-def _walk_object(text: _Window, key: str, rows) -> dict | None:
-    """The top-level JSON object of the file as json.loads builds it, key's value rows(_row_texts(text)).
+def _walk_object(read, key: str, rows) -> dict:
+    """The top-level JSON object of the text read(size) reads, key's array as rows(_row_texts(...)).
 
-    Keys are read with scanstring and other values with raw_decode, and a
-    duplicate key keeps its last value, as in json.  None when the text is
-    not a non-empty object or a separator is not where one belongs; a
-    malformed string or value raises json's error, and a key that is not
-    one array of rows, or comes twice, raises _NotRows.
+    Keys are read with scanstring and other values with raw_decode, so text
+    json.loads refuses raises ValueError.  A duplicate key keeps its last
+    value, as in json, but key itself twice is refused.
     """
+    text, obj = _Window(read), {}
     text.space()
-    if not text.step("{"):
-        return None
-    obj = {}
+    text.expect("{")
     while True:
         if not text.buf.startswith('"', text.at):
-            return None
+            raise text.error("expected a key")
         name = text.take(lambda buf, at: json.decoder.scanstring(buf, at + 1))
+        if name == key and key in obj:
+            raise text.error(f"{key} given twice")
         text.space()
-        if not text.step(":"):
-            return None
-        if name != key:
-            obj[name] = text.take(_DECODER.raw_decode)
-        elif key in obj or not text.buf.startswith("[", text.at):
-            raise _NotRows
-        else:
+        text.expect(":")
+        if name == key and text.buf.startswith("[", text.at):
             obj[name] = rows(_row_texts(text))
+        else:
+            obj[name] = text.take(_DECODER.raw_decode)
         text.space()
         if text.step("}"):
-            return obj if text.at == len(text.buf) else None
-        if not text.step(","):
-            return None
+            if text.at < len(text.buf):
+                raise text.error("extra text after the object")
+            return obj
+        text.expect(",")
 
 
-def _scatter(T: np.ndarray, key: str, blocks, whole: bool = False) -> str | None:
-    """Scatter blocks of [index..., re, im] rows into T; the message of the first bad index, or None.
+def _scatter(T: np.ndarray, key: str, blocks: Iterable[str]):
+    """Parse each block of "[row, ...]" text and scatter its [index..., re, im] rows into T.
 
-    blocks are (rows, text) pairs, the rows as json parsed them from text.
-    _NotNumbers unless every row is T.ndim + 2 numbers and none a bool.  A
-    block numpy holds as uint64 or objects, as it may hold ints beyond
-    int64, raises a plain ValueError unless whole says it is all the rows:
-    a float in another block makes one array of all of them float64.  Rows
-    are scattered up to the first whose indices are not all integers in
-    0..n_max, which the message shows as one array of all the rows would.
+    ValueError at the first block that is not rows of T.ndim + 2 numbers,
+    none a bool, and at the first row with an index that is not an integer
+    in 0..n_max, named by its place in the file.  An int beyond int64, which
+    numpy would hold as uint64 or an object, is float() of its text: only a
+    block with one is parsed again.
     """
-    k, n_max = T.ndim, T.shape[0] - 1
+    k, n_max, first = T.ndim, T.shape[0] - 1, 0
     pairs = T.reshape(-1).view(np.float64).reshape(-1, 2)     # [re, im] of each entry, a view of T
-    first, bad, floats = 0, None, False
-    for rows, text in blocks:
+    for text in blocks:
         try:
+            rows = json.loads(text)
             arr = np.array(rows)
+            if arr.dtype.kind in "uO":
+                arr = np.array(json.loads(text, parse_int=lambda s: int(s) if -2**63 <= int(s) < 2**63 else float(s)))
             # numpy casts a bool among numbers to 0/1; the per-value scan runs only if the JSON text has one
-            if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in ("if" if whole else "ifuO") or \
+            if arr.ndim != 2 or arr.shape[1] != k + 2 or arr.dtype.kind not in "if" or \
                     ("true" in text or "false" in text) and any(type(v) is bool for row in rows for v in row):
                 raise ValueError
         except ValueError:
-            raise _NotNumbers(f"{key} must be a list of rows of {k + 2} numbers") from None
-        if arr.dtype.kind in "uO":
-            raise ValueError("a block of rows that is not int64 or float64")
-        floats |= arr.dtype.kind == "f"
+            raise ValueError(f"{key} must be a list of rows of {k + 2} numbers") from None
         index = arr[:, :k]
         ok = np.all((index >= 0) & (index <= n_max) & (index == np.floor(index)), axis=1)
-        if bad is None and not ok.all():
+        if not ok.all():
             i = int(np.argmin(ok))
-            bad = first + i, arr[i]
-        if bad is None:             # as floats, so signed zeros survive
-            pairs[np.ravel_multi_index(tuple(index.astype(np.intp).T), T.shape)] = arr[:, k:]
+            raise ValueError(f"{key}[{first + i}] = {arr[i].tolist()} has an index that is not an integer "
+                             f"in 0..{n_max}")
+        pairs[np.ravel_multi_index(tuple(index.astype(np.intp).T), T.shape)] = arr[:, k:]   # signed zeros too
         first += len(arr)
-    if bad is None:
-        return None
-    i, row = bad
-    return f"{key}[{i}] = {row.astype(float if floats else int).tolist()} " \
-           f"has an index that is not an integer in 0..{n_max}"
 
 
 def _header(obj, key: str) -> tuple[int, int]:
@@ -301,45 +297,21 @@ def _coeff_tensor(fh, key: str, rank: int) -> tuple[int, int, np.ndarray]:
     T has shape (n_max + 1,) * (rank * d) and rows are [index..., re, im].
     d in {1, 2} and n_max >= 0 must be JSON integers, every row rank * d + 2
     numbers and every index an integer in 0..n_max; anything else raises
-    ValueError.  json is the only tokenizer.  fh is read twice in windows of
-    a few _TEXT_BLOCK characters: the first pass steps over the rows for d
-    and n_max, T is allocated, and the second pass parses each block of rows
-    and scatters it into T, so the peak is T and one block.  The header of
-    the first pass is trusted only once every block parsed as numbers.  A
-    block that parses but holds a row that is not rank * d + 2 numbers (a
-    wrong width, a string, a bool) is refused at once: its cuts are cuts
-    json makes too, as every block before it parsed, and the first pass
-    walked the rest of the object with the key once.  So the later blocks
-    are not read, and text json would refuse in one of them gives the row's
-    message, not json's.  Any other text (no rows, ints beyond int64, the
-    key twice, a bad d or n_max, invalid JSON) is read again whole from
-    fh.seek(0) and parsed by json.loads, so it gets json's own error or
-    object.
+    ValueError, as does key twice.  json is the only tokenizer: an int beyond
+    int64 is float() of its text (10**400 is inf), NaN and Infinity are read.
+    fh is read twice in windows of a few _TEXT_BLOCK characters, never whole.
+    The first pass walks the object for d and n_max, stepping over the rows
+    unparsed; T is allocated, and the second pass parses each block of rows
+    and scatters it into T, so the peak is T and a few blocks.  Text json
+    refuses outside the rows, and a file cut inside them, are refused before
+    T exists, other faults in the rows at their block.  The first pass's
+    header is right once every block parsed as numbers, since a string in
+    the rows could have misled its cuts.
     """
-    obj = None
-    try:
-        d, n_max = _header(_walk_object(_Window(fh.read), key, lambda blocks: list(map(len, blocks))), key)
-    except (ValueError, _NotRows):      # json's errors and UnicodeDecodeError are ValueErrors
-        pass
-    else:
-        T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
-        fh.seek(0)
-        try:
-            obj = _walk_object(_Window(fh.read), key,
-                               lambda blocks: _scatter(T, key, ((json.loads(b), b) for b in blocks)))
-        except _NotNumbers:
-            raise                   # the first pass walked the whole object, with the key once
-        except (ValueError, _NotRows):
-            T = None                # freed before the whole text is read
-    if obj is None:
-        fh.seek(0)
-        text = fh.read()
-        obj = json.loads(text)
-        d, n_max = _header(obj, key)
-        T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
-        obj[key] = _scatter(T, key, [(obj[key], text)] if obj[key] else [], whole=True)
-    if obj[key]:                    # _scatter's message of the first bad index
-        raise ValueError(obj[key])
+    d, n_max = _header(_walk_object(fh.read, key, lambda blocks: list(map(len, blocks))), key)
+    T = np.zeros((n_max + 1,) * (rank * d), dtype=complex)
+    fh.seek(0)
+    _walk_object(fh.read, key, lambda blocks: _scatter(T, key, blocks))
     return d, n_max, T
 
 
@@ -391,7 +363,7 @@ def read_matrix(path) -> tuple[int, int, np.ndarray]:
     """(d, n_max, entries) of the matrix_json file at path, read twice in windows, never whole.
 
     A file that cannot seek (a pipe) is read whole first, since the reader
-    goes back to its start for the second pass and for malformed text.
+    goes back to its start for the second pass.
     """
     with open(path) as fh:
         return _matrix(fh if fh.seekable() else _Chars(fh.read()))

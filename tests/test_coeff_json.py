@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_gen_exits_2_on_non_finite_element(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-# --- the reader: rows parsed by json in blocks, against the whole-list reader ---
+# --- the reader: rows parsed by json in blocks, against the whole-list reader by its contract ---
 
 def _coeff_tensor_whole(text, key, rank):
     """Oracle: the reader that parses the whole text with one json.loads, verbatim."""
@@ -166,6 +167,41 @@ def _outcome(reader, text, key, rank):
     return d, n_max, T.shape, T.tobytes()
 
 
+_INT_BEYOND_INT64 = re.compile(r"(?<![\w.+-])-?\d{19,}(?![\w.])")
+
+
+def _floated(text):
+    """text with each int literal beyond int64 written as the float of its text, as JSON writes it."""
+    return _INT_BEYOND_INT64.sub(lambda m: m[0] if -2 ** 63 <= int(m[0]) < 2 ** 63 else json.dumps(float(m[0])),
+                                 text)
+
+
+def _top_keys(text):
+    """The keys of the JSON object text, in order, repeats included."""
+    objects = []
+    json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
+    return [name for name, _ in objects[-1]]        # the top-level object closes last
+
+
+def _contract(text, key, rank):
+    """The reader's outcome by its contract, None for a refusal (any message).
+
+    The oracle's outcome, with two changes: an int literal that numpy would hold as uint64
+    or an object reads as float() of its text, so a text the oracle refuses for one gets
+    the oracle's outcome on _floated(text); and a text with key twice is refused.
+    """
+    expected = _outcome(_coeff_tensor_whole, text, key, rank)
+    if isinstance(expected, str):
+        expected = _outcome(_coeff_tensor_whole, _floated(text), key, rank)
+    if isinstance(expected, str) or _top_keys(text).count(key) > 1:
+        return None
+    return expected
+
+
+def _accepted(outcome):
+    return None if isinstance(outcome, str) else outcome
+
+
 _KEY = {1: "coeffs", 2: "entries"}
 _PART_TOKENS = ["0", "-0", "0.0", "-0.0", "1E2", "2", "-7", "0.1", "-2.5e-3", "1e308", "5e-324",
                 str(10 ** 20), str(10 ** 400), "1e400", "NaN", "Infinity", "-Infinity"]
@@ -203,8 +239,10 @@ def coeff_texts(draw):
     T = draw(hnp.arrays(complex, (n_max + 1,) * k, elements=st.builds(complex, part, part), fill=st.just(0j)))
     if rank == 2:
         side = (n_max + 1) ** d
+        # a top-level float a window can cut after "3.25e", and escapes (\u00e9, a surrogate pair) it can cut
         text = tw.wong_to_json(tw.WongCoeffMatrix(d, n_max, T.reshape(side, side)),
-                               {"config": {"note": "]], [[1, 2]], [", "n_max": 9}, "version": "0"})
+                               {"config": {"note": "]], [[1, 2]], [ \u00e9\U0001d11e", "n_max": 9}, "tol": 3.25e-07,
+                                "version": "0"})
     else:
         text = tw.coeff_vector_to_json(tw.HermiteCoeffVector(d, n_max, T))
     source = draw(st.sampled_from(["writer", "dumps", "tokens"]))
@@ -219,9 +257,10 @@ def coeff_texts(draw):
                    (key, draw(_token_rows(k, n_max)))]
         other = draw(st.sampled_from(["", "valid", '[[0, 0, "x", 0]]', "[1, 2]", "{}", "null", '"]], ["']))
         if other:
-            # a second key: json keeps the last value, whichever of the two is valid
+            # a second rows key: refused, though json keeps the last value, whichever of the two is valid
             members.append((key, draw(_token_rows(k, n_max)) if other == "valid" else other))
-        members.append(("config", '{"note": "]], [[", "rows": [[0, 1]]}'))
+        members += [("config", '{"note": "]], [[", "rows": [[0, 1]]}'),
+                    ("tol", draw(st.sampled_from(["3.25e-07", "-Infinity"])))]
         members = draw(st.permutations(members))
         colon = draw(st.sampled_from([": ", ":", " :\n"]))
         text = "{" + draw(st.sampled_from([", ", ",", "\n,\t"])).join(
@@ -233,10 +272,11 @@ def coeff_texts(draw):
 @settings(max_examples=500, deadline=None)
 @given(case=coeff_texts(), block=st.integers(16, 64))
 # a bool after a block of numbers, an int beyond int64 in a block of ints, a block of ints that numpy holds as
-# uint64 or as objects after a block with a float, a valid value then an invalid or valid one,
+# uint64 or as objects after a block with a float, the rows key twice (refused, the oracle reads the second),
 # text json refuses in a later block, a bad index after int and float blocks and one before a float block,
 # indices past 2048 in one-row blocks, a row of a string before later blocks, before a second valid value
-# of the key, and before text after the object
+# of the key, and before text after the object, and top-level numbers the first window cuts after "3.25e"
+# and after "-Infinit"
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.0, 0.0], [1, 1, true, 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [1, 1, 100000000000000000000, 0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, 1.5, 0.0], [0, 1, 2, 0], [1, 1, 100000000000000000000, 0]]}',
@@ -253,15 +293,17 @@ def coeff_texts(draw):
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, "x", 0], [1, 1, 2.0, 0.0], [0, 1, 1, 2, 3]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 0, "entries": [[0, 0, "x", 0]], "entries": [[0, 0, 1.0, 0.0]]}', "entries", 2), 16)
 @example(('{"d": 1, "n_max": 1, "entries": [[0, 0, "x", 0], [1, 1, 2.0, 0.0]]} x', "entries", 2), 16)
+@example(('{"d": 1, "n_max": 0, "tol": 3.25e-07, "entries": [[0, 0, 1.0, 0.0]]}', "entries", 2), 33)
+@example(('{"d": 1, "n_max": 0, "tol": -Infinity, "entries": [[0, 0, 1.0, 0.0]]}', "entries", 2), 36)
 def test_block_reader_equals_whole_list_reader(case, block):
     # windows and blocks of 16-64 characters, so the rows of one text span many of them and the
-    # windows cut numbers, keys, whitespace, the BOM and the "]], [[" strings
+    # windows cut numbers, keys, escapes, whitespace, the BOM and the "]], [[" strings
     text, key, rank = case
-    expected = _outcome(_coeff_tensor_whole, text, key, rank)
+    expected = _contract(text, key, rank)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(formats, "_TEXT_BLOCK", block)
-        assert _outcome(_block_reader, text, key, rank) == expected
-        assert _outcome(_file_reader, text, key, rank) == expected
+        assert _accepted(_outcome(_block_reader, text, key, rank)) == expected
+        assert _accepted(_outcome(_file_reader, text, key, rank)) == expected
 
 
 @pytest.mark.parametrize("block", [16, 1000, None], ids=["16", "1000", "default"])
@@ -270,7 +312,7 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
     text = tw.wong_to_json(C, {"config": {}, "version": tw.__version__})
     if block:
         monkeypatch.setattr(formats, "_TEXT_BLOCK", block)
-    texts = formats._walk_object(formats._Window(formats._Chars(text).read), "entries", list)["entries"]
+    texts = formats._walk_object(formats._Chars(text).read, "entries", list)["entries"]
     blocks = [json.loads(t) for t in texts]
     sizes = [len(rows) for rows in blocks]
     assert sum(sizes) == np.count_nonzero(C.entries)
@@ -287,13 +329,15 @@ def test_gram_file_reads_in_blocks_as_the_whole_list_reader(monkeypatch, block):
 
 
 def test_bad_index_is_named_by_its_row_in_the_file(monkeypatch):
-    # blocks of one or two rows: the bad row's block holds ints only, the file's other rows floats
+    # blocks of one or two rows: the bad row's block holds ints only, the file's other rows floats;
+    # the row is shown as its block parsed it, and named by its place in the file, as the oracle names it
     monkeypatch.setattr(formats, "_TEXT_BLOCK", 16)
     rows = [[0, 0, 0.5, 0.0]] * 20 + [[0, 9, 1, 0], [0, 1, 2, 0], [1, 0, 3, 0]]
     text = json.dumps({"d": 1, "n_max": 2, "entries": rows})
-    message = _outcome(_block_reader, text, "entries", 2)
-    assert message == "entries[20] = [0.0, 9.0, 1.0, 0.0] has an index that is not an integer in 0..2"
-    assert message == _outcome(_coeff_tensor_whole, text, "entries", 2)
+    assert _outcome(_block_reader, text, "entries", 2) == \
+        "entries[20] = [0, 9, 1, 0] has an index that is not an integer in 0..2"
+    assert _outcome(_coeff_tensor_whole, text, "entries", 2) == \
+        "entries[20] = [0.0, 9.0, 1.0, 0.0] has an index that is not an integer in 0..2"
 
 
 def _traced_peak(fn, *args):
@@ -331,18 +375,27 @@ def test_read_peak_is_the_matrix_and_a_few_blocks(tmp_path, monkeypatch, n_max):
     assert _traced_peak(tw.read_wong, path) <= C.entries.nbytes + 28 * formats._TEXT_BLOCK
 
 
-def test_a_row_that_is_not_numbers_is_refused_within_the_blocks(tmp_path, monkeypatch, capsys):
-    # the last row's imaginary part "x" in a 1.6 MB file: json.loads of the whole text builds
-    # every row, about 17 times the file; the windowed pass refuses it at the matrix and a few blocks
+def _row_x(text):
+    end = text.rindex("]]")
+    return text[:text.rindex(", ", 0, end)] + ', "x"' + text[end:]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_row_x, "entries must be a list of rows of 6 numbers"),
+    (lambda text: text[:-200], "coefficient JSON at character {size}: the file ends inside the rows"),
+    (lambda text: text.replace('"d": 2', '"d": tru'), "coefficient JSON at character 6: Expecting value"),
+], ids=["row-x", "cut-200", "d-tru"])
+def test_a_corrupt_file_is_refused_within_the_blocks(tmp_path, monkeypatch, capsys, corrupt, message):
+    # a 1.6 MB file with the last row's imaginary part "x", its last 200 characters cut, or "d": tru:
+    # json.loads of the whole text builds rows up to the fault, about 17 times the file, and a window
+    # that grows on every json error holds the rest of the file; each is refused at the matrix and a few blocks
     monkeypatch.setattr(formats, "_TEXT_BLOCK", 1 << 14)
     C = _dense_d2(12)
-    text = tw.wong_to_json(C)
-    end = text.rindex("]]")
-    text = text[:text.rindex(", ", 0, end)] + ', "x"' + text[end:]
+    text = corrupt(tw.wong_to_json(C))
     path = tmp_path / "C.json"
     path.write_text(text)
-    message = _outcome(_coeff_tensor_whole, text, "entries", 2)
-    assert message == "entries must be a list of rows of 6 numbers"
+    message = message.format(size=len(text))
+    assert isinstance(_outcome(_coeff_tensor_whole, text, "entries", 2), str)
 
     def read():
         with pytest.raises(ValueError) as err:
@@ -352,6 +405,24 @@ def test_a_row_that_is_not_numbers_is_refused_within_the_blocks(tmp_path, monkey
     assert _traced_peak(read) <= C.entries.nbytes + 28 * formats._TEXT_BLOCK
     assert main(["verify", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("big", [10 ** 19, 10 ** 20])
+def test_an_int_beyond_int64_reads_as_the_float_of_its_text(big):
+    # among small ints numpy holds 10**19 as a float and 10**20 as an object, which the oracle refuses
+    text = '{"d": 1, "n_max": 1, "entries": [[0, 0, %s, 0], [1, 1, 2, -3]]}'
+    assert _outcome(_block_reader, text % big, "entries", 2) == \
+        _outcome(_block_reader, text % float(big), "entries", 2) == \
+        _outcome(_coeff_tensor_whole, text % float(big), "entries", 2)
+
+
+def test_an_int_past_the_float_range_is_refused_as_not_finite(tmp_path, capsys):
+    path = tmp_path / "C.json"
+    path.write_text('{"d": 1, "n_max": 1, "entries": [[0, 0, %d, 0]]}' % 10 ** 400)
+    assert main(["verify", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert "entries must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_writer_peak_stays_below_three_times_its_text(monkeypatch):
