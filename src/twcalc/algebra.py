@@ -85,9 +85,10 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
     the squared mass lies outside the index box.
     """
     d = a.dims // 2
-    kernel = _kernel_pair_map(a, strict)
-    H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
     k = n_max + 1
+    # the slabs of the first pair stack n matrices at d = 2, those of the second k
+    kernel = _kernel_pair_map(a, strict, (1,) if d == 1 else (a.points_per_axis, k))
+    H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
 
     def pair_map(b):                                   # [t, x, xi] -> [t, a1, a2]
         K = kernel(b)

@@ -1,4 +1,11 @@
+import functools
+import inspect
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +18,7 @@ from twcalc.phase_space import check_boundary
 
 
 L, N = 8.0, 256
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def hermite_grid(k, n=N, box=L):
@@ -89,6 +97,114 @@ def test_boundary_fraction_reads_every_face(dims):
             at[ax] = side
             values[tuple(at)] = 1.0j                     # the only boundary mass, on one face
             assert tw.GridFunction(dims, L, n, values).boundary_fraction() == 0.25
+
+
+def _gaussian(dims, n=17, box=5.0):
+    axis = np.linspace(-box, box, n)
+    return tw.GridFunction(dims, box, n, functools.reduce(np.multiply.outer, [np.exp(-axis * axis)] * dims) + 0j)
+
+
+def _outcome(check, f, strict, threshold):
+    """("raise", fraction, message), ("warn", message) or ("pass", None) of one boundary check."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(f, strict, threshold)
+        except TruncationError as exc:
+            return "raise", repr(exc.fraction), str(exc)
+    return ("warn", str(caught[0].message)) if caught else ("pass", None)
+
+
+def _whole_grid_check(f, strict, threshold):
+    """The check as one whole-grid pass: boundary_fraction against the threshold."""
+    frac = f.boundary_fraction()
+    if frac > threshold:
+        msg = f"input carries boundary mass {frac:.3e} (threshold {threshold:.1e}); enlarge the box"
+        if strict:
+            raise TruncationError(msg, fraction=frac)
+        warnings.warn(msg)
+
+
+@pytest.mark.parametrize("dims", [2, 4])
+@pytest.mark.parametrize("edge,threshold", [(1e-9, 1e-8), (1.2e-8, 1e-8), (1e-7, 1e-8), (0.0, 1e-8), (1e-7, 1e-6)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_boundary_peak_outside_the_sample(dims, edge, threshold, scale):
+    # the peak sits between the sampled nodes, far above every sample, so the
+    # sample's lower bound cannot decide and the exact fraction must be taken
+    n = 17
+    values = np.zeros((n,) * dims, dtype=complex)
+    values[(1,) * dims] = 1e-3            # no sample: the sample takes every fourth node from 0
+    values[(n // 2 + 2,) * dims] = 1.0    # the peak, not sampled either
+    values[(n // 2,) * dims] = 1e-3       # sampled
+    values[(0,) + (n // 2,) * (dims - 1)] = edge
+    f = tw.GridFunction(dims, 4.0, n, scale * values)
+    for strict in (True, False):
+        assert _outcome(check_boundary, f, strict, threshold) == _outcome(_whole_grid_check, f, strict, threshold)
+
+
+@pytest.mark.parametrize("dims", [2, 4])
+@pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+def test_boundary_spike_on_one_face(dims, scale):
+    f = _gaussian(dims)
+    n = f.points_per_axis
+    for ax in range(dims):
+        for side in (0, n - 1):
+            g = tw.GridFunction(dims, f.box_half_width, n, scale * f.values)
+            at = [n // 2 + 1] * dims
+            at[ax] = side
+            g.values[tuple(at)] = scale * 2e-6j
+            with pytest.raises(TruncationError) as exc:
+                check_boundary(g, strict=True)
+            assert exc.value.fraction == g.boundary_fraction()
+            with pytest.warns(UserWarning, match=f"boundary mass {g.boundary_fraction():.3e}"):
+                check_boundary(g, strict=False)
+            check_boundary(g, strict=True, threshold=1e-5)   # under a looser threshold it passes
+
+
+def test_boundary_all_zero_grid_passes():
+    for dims in (2, 4):
+        f = tw.GridFunction(dims, 4.0, 16, np.zeros((16,) * dims, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_boundary(f, strict=True)
+            check_boundary(f, strict=True, threshold=0.0)
+
+
+def test_boundary_decided_by_faces_skips_the_whole_grid(monkeypatch):
+    f = _gaussian(4)
+    assert 0.0 < f.boundary_fraction() < 1e-8
+    monkeypatch.setattr(tw.GridFunction, "boundary_fraction", lambda self: pytest.fail("whole-grid pass"))
+    check_boundary(f, strict=True)
+
+
+@pytest.mark.parametrize("dims", [2, 4])
+@pytest.mark.parametrize("where", ["corner", "centre", "off-sample"])
+@pytest.mark.parametrize("part", [1.0, 1.0j])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_boundary_of_non_finite_values_as_the_whole_grid_check(dims, where, part, value):
+    # values are refused at construction, but a caller may write them in later
+    f = _gaussian(dims)
+    n = f.points_per_axis
+    at = {"corner": (0,) * dims, "centre": (n // 2,) * dims, "off-sample": (n // 2 + 1,) * dims}[where]
+    for edge in (0.0, 1e-7):                 # the boundary otherwise under or over the threshold
+        g = tw.GridFunction(dims, f.box_half_width, n, f.values.copy())
+        g.values[(0,) + (n // 2,) * (dims - 1)] += edge
+        g.values[at] = value * part if part == 1.0 else complex(g.values[at].real, value)
+        for strict in (True, False):
+            assert _outcome(check_boundary, g, strict, 1e-8) == _outcome(_whole_grid_check, g, strict, 1e-8)
+
+
+def test_grid_function_finiteness():
+    n = 16
+    big = np.full((n, n), 1e200 + 1e200j)                  # finite, though its squares overflow
+    assert tw.GridFunction(2, L, n, big).values[0, 0] == 1e200 + 1e200j
+    for at in ((0, 0), (n // 2, 3), (n - 1, n - 1)):
+        for bad in (np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf, complex(1.0, -np.inf)):
+            for fill in (1.0, 1e200):
+                values = np.full((n, n), fill, dtype=complex)
+                values[at] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    tw.GridFunction(2, L, n, values)
 
 
 # --- Hermite-Wong functions ---
@@ -305,6 +421,239 @@ def test_d2_transform_of_product_is_product_of_d1_transforms(name):
     want = np.einsum("ik,jl->ijkl", transform(r1).values, transform(r2).values)
     got = transform(r).values
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# --- slab pool ---
+
+def _d2_transforms(n):
+    """Every transform whose d = 2 slabs run on the pool, by name, on inputs at n points."""
+    rng = np.random.default_rng(n)
+    box = 5.5
+    C = tw.WongCoeffMatrix(2, 2, rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    a = tw.synthesize(C, box, n)
+    f = tw.GridFunction(2, box, n, a.values[:, :, n // 2, n // 3].copy())
+    g = tw.GridFunction(2, box, n, a.values[n // 3, :, :, n // 2].copy())
+    out = {
+        "wigner": lambda: tw.wigner(f, g, strict=False).values,
+        "symplectic_fourier": lambda: tw.symplectic_fourier(a, strict=False).values,
+        "kernel_map_A_grid": lambda: tw.kernel_map_A_grid(a, strict=False).values,
+        "expand": lambda: tw.expand(a, 2, strict=False, tail_threshold=1.0).entries,
+        "synthesize": lambda: tw.synthesize(C, box, n).values,      # 3 slabs in its first pair
+        "apply_h_sigma_grid": lambda: tw.apply_h_sigma_grid(a, strict=False).values,
+        "apply_h_bar_sigma_grid": lambda: tw.apply_h_sigma_grid(a, strict=False, conjugate=True).values,
+    }
+    if n % 2:
+        out["inverse_kernel_map_grid"] = lambda: tw.inverse_kernel_map_grid(a).values
+    return out
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Call it with a worker count, and d = 2 slabs run on that many threads from then on."""
+    monkeypatch.setattr(ps, "_executor", None)             # the pools of this test are its own
+
+    def drop_pool():
+        if ps._executor is not None:
+            ps._executor.shutdown()
+            ps._executor = None                            # a pool of the new size starts on first use
+
+    def set_workers(count):
+        drop_pool()
+        monkeypatch.setattr(ps, "_cpus", lambda: count)
+
+    yield set_workers
+    drop_pool()
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+@pytest.mark.parametrize("n", [17, 18])
+def test_pooled_d2_transforms_equal_one_worker(n, workers):
+    transforms = _d2_transforms(n)
+    workers(1)
+    want = {name: run() for name, run in transforms.items()}
+    for count in (2, 4):                  # 4: more workers than synthesize's first pair has slabs
+        workers(count)
+        for name, run in transforms.items():
+            got = run()
+            assert got.dtype == want[name].dtype and got.shape == want[name].shape, name
+            assert got.tobytes() == want[name].tobytes(), (name, count)
+        assert ps._executor._max_workers == count - 1
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_pool_without_blas_symbols_runs_gemm_slabs_inline(monkeypatch, workers):
+    transforms = _d2_transforms(17)
+    workers(1)
+    want = {name: run() for name, run in transforms.items()}
+    workers(2)
+    monkeypatch.setattr(ps, "_openblas", lambda: None)
+    used = []
+    pool = ps._pool
+    monkeypatch.setattr(ps, "_pool", lambda: used.append(1) or pool())
+    for name, run in transforms.items():
+        del used[:]
+        assert run().tobytes() == want[name].tobytes(), name
+        assert bool(used) == name.startswith("apply_h"), name      # only the stencil pools
+
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, which is 3 for the test and restored after."""
+    blas = ps._openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread symbols")
+    get, put = blas
+    before = get()
+    put(3)                            # not 1, and not the count any earlier call may have left
+    yield get
+    put(before)
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_blas_threads_held_at_one_in_the_pool_and_restored(workers, blas_threads):
+    get = blas_threads
+    workers(2)
+    seen = []
+    vals = np.ones((17,) * 4, dtype=complex)
+
+    def pair_map(b):
+        seen.append(get())
+        return b * 2.0
+
+    ps._each_pair(vals, pair_map)
+    assert seen and set(seen) == {1}
+    assert get() == 3
+    for name, run in _d2_transforms(17).items():
+        run()
+        assert get() == 3, name
+
+
+def test_blas_threads_restored_after_a_pair_map_raises(workers, blas_threads):
+    workers(2)
+    calls = []
+
+    def pair_map(b):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("slab failed")
+        return b
+
+    with pytest.raises(RuntimeError, match="slab failed"):
+        ps._each_pair(np.ones((17,) * 4, dtype=complex), pair_map)
+    assert blas_threads() == 3
+    assert not ps._POOLED.locked()
+    assert len(calls) < 17            # the first pair's remaining slabs were dropped, not run
+
+
+def test_a_second_caller_runs_inline(monkeypatch, workers, blas_threads):
+    get = blas_threads
+    workers(2)
+    before = get()
+    monkeypatch.setattr(ps, "_pool", lambda: pytest.fail("pool used while held"))
+    seen = []
+
+    def pair_map(b):
+        seen.append(get())
+        return b
+
+    with ps._POOLED:                  # as if another thread held the pool
+        ps._each_pair(np.ones((17,) * 4, dtype=complex), pair_map)
+    assert set(seen) == {before}
+    assert get() == before
+
+
+def test_every_slab_runs_once_under_contention(workers):
+    # more workers than cores take slabs off one shared list, switching threads as often as they can
+    workers(8)
+    counts = np.zeros(301, dtype=int)
+
+    def work(i):
+        counts[i] += 1                # each slab writes its own entry only
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ps._on_slabs(work, [(i,) for i in range(counts.size)], blas=False)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (counts == 20).all()
+    assert not ps._POOLED.locked()
+
+
+def _double_in_pool():
+    out = ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: 2.0 * b)
+    os._exit(0 if (out == 4.0).all() else 1)
+
+
+def test_a_forked_child_starts_its_own_pool(workers):
+    workers(2)
+    ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: b)
+    assert ps._executor is not None
+    child = multiprocessing.get_context("fork").Process(target=_double_in_pool)
+    child.start()
+    child.join(timeout=60)            # the parent's pool threads do not exist in the child
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_d1_never_starts_the_pool(monkeypatch, workers, wong_cache):
+    workers(2)
+    monkeypatch.setattr(ps, "_pool", lambda: pytest.fail("pool started at d = 1"))
+    W = wong_cache(((1,), (2,)), 8.0, 129)
+    tw.wigner(hermite_grid(1, n=129), hermite_grid(2, n=129))
+    tw.symplectic_fourier(W)
+    K = tw.kernel_map_A_grid(W)
+    tw.inverse_kernel_map_grid(K)
+    C = tw.expand(W, 4)
+    tw.synthesize(C, 8.0, 129)
+    tw.apply_h_sigma_grid(W)
+    assert ps._executor is None
+
+
+def test_import_leaves_the_pool_module_unloaded():
+    code = "import sys, twcalc.cli; sys.exit('concurrent.futures' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_slab_workers_call_no_public_function(monkeypatch, workers):
+    # perfbench's span tracer keeps one span stack for every thread: a public
+    # twcalc function called from a pool thread would corrupt it.  Every public
+    # function of these modules, wherever it is bound, checks its thread.
+    from twcalc import algebra, hermite, oscillators
+
+    off_main = []
+    wrappers = {}
+    for mod in (hermite, ps, algebra, oscillators):
+        for attr, fn in vars(mod).items():
+            if attr.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+
+            def checked(*args, __fn=fn, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(__fn.__qualname__)
+                return __fn(*args, **kwargs)
+
+            wrappers[fn] = checked
+    for ns in (tw, hermite, ps, algebra, oscillators):
+        for attr, obj in list(vars(ns).items()):
+            if inspect.isfunction(obj) and obj in wrappers:
+                monkeypatch.setattr(ns, attr, wrappers[obj])
+    assert {"wigner", "expand", "apply_h_sigma_grid", "check_boundary"} <= {f.__name__ for f in wrappers}
+    workers(2)
+    threads = set()                    # where private slab helpers ran: the pool did run
+    for mod, attr in ((ps, "_batch_middle"), (oscillators, "_add_taps")):
+        def recorded(*args, __fn=getattr(mod, attr)):
+            threads.add(threading.current_thread().name.split("_")[0])
+            return __fn(*args)
+        monkeypatch.setattr(mod, attr, recorded)
+    for name, run in _d2_transforms(17).items():
+        run()
+    assert off_main == []
+    assert threads == {"MainThread", "twcalc-slab"}
 
 
 # --- serialization ---
