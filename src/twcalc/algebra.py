@@ -22,6 +22,7 @@ from .phase_space import (
     _each_pair,
     _inverse_pair_map,
     _kernel_pair_map,
+    _pool_scope,
     check_boundary,
     normalize_pair,
     require_same_grid,
@@ -86,26 +87,27 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
     """
     d = a.dims // 2
     k = n_max + 1
-    # the slabs of the first pair stack n matrices at d = 2, those of the second k
-    kernel = _kernel_pair_map(a, strict, (1,) if d == 1 else (a.points_per_axis, k))
-    H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
+    with _pool_scope(d == 2):
+        # the slabs of the first pair stack n matrices at d = 2, those of the second k
+        kernel = _kernel_pair_map(a, strict, (1,) if d == 1 else (a.points_per_axis, k))
+        H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
 
-    def pair_map(b):                                   # [t, x, xi] -> [t, a1, a2]
-        K = kernel(b)
-        t, n, _ = K.shape
-        KH = (K.reshape(-1, n) @ H.T).reshape(t, n, k)               # [t, x, a2]
-        return (KH.transpose(0, 2, 1).reshape(-1, n) @ H.T).reshape(t, k, k).transpose(0, 2, 1)
+        def pair_map(b):                                   # [t, x, xi] -> [t, a1, a2]
+            K = kernel(b)
+            t, n, _ = K.shape
+            KH = (K.reshape(-1, n) @ H.T).reshape(t, n, k)               # [t, x, a2]
+            return (KH.transpose(0, 2, 1).reshape(-1, n) @ H.T).reshape(t, k, k).transpose(0, 2, 1)
 
-    side = k ** d
-    out = WongCoeffMatrix(d, n_max, _each_pair(a.values, pair_map, k).reshape(side, side))
-    total = a.norm() ** 2
-    if total > 0:
-        tail = max(0.0, total - out.norm() ** 2) / total
-        if tail > tail_threshold:
-            raise TruncationError(
-                f"index box n_max={n_max} captures too little of the input: "
-                f"tail fraction {tail:.3e}", fraction=tail)
-    return out
+        side = k ** d
+        out = WongCoeffMatrix(d, n_max, _each_pair(a.values, pair_map, k).reshape(side, side))
+        total = a.norm() ** 2
+        if total > 0:
+            tail = max(0.0, total - out.norm() ** 2) / total
+            if tail > tail_threshold:
+                raise TruncationError(
+                    f"index box n_max={n_max} captures too little of the input: "
+                    f"tail fraction {tail:.3e}", fraction=tail)
+        return out
 
 
 def synthesize(C: WongCoeffMatrix, box_half_width: float, points_per_axis: int) -> GridFunction:
@@ -121,18 +123,19 @@ def synthesize(C: WongCoeffMatrix, box_half_width: float, points_per_axis: int) 
     """
     n = points_per_axis
     work_n, step = (n, 1) if n % 2 == 1 else (2 * n - 1, 2)
-    H = hermite_batch(C.n_max, np.linspace(-box_half_width, box_half_width, work_n))
-    inverse = _inverse_pair_map(box_half_width, work_n)
-    k = C.n_max + 1
+    with _pool_scope(C.d == 2):
+        H = hermite_batch(C.n_max, np.linspace(-box_half_width, box_half_width, work_n))
+        inverse = _inverse_pair_map(box_half_width, work_n)
+        k = C.n_max + 1
 
-    def pair_map(c):                                   # [t, a1, a2] -> [t, x, xi]
-        t = c.shape[0]
-        cH = (c.reshape(-1, k) @ H).reshape(t, k, work_n)            # [t, a1, y]
-        K = (cH.transpose(0, 2, 1).reshape(-1, k) @ H).reshape(t, work_n, work_n)
-        return inverse(K.transpose(0, 2, 1))[:, ::step, ::step]
+        def pair_map(c):                                   # [t, a1, a2] -> [t, x, xi]
+            t = c.shape[0]
+            cH = (c.reshape(-1, k) @ H).reshape(t, k, work_n)            # [t, a1, y]
+            K = (cH.transpose(0, 2, 1).reshape(-1, k) @ H).reshape(t, work_n, work_n)
+            return inverse(K.transpose(0, 2, 1))[:, ::step, ::step]
 
-    C_axes = C.entries.reshape((k,) * (2 * C.d))       # (alpha1, alpha2) axes
-    return GridFunction(2 * C.d, box_half_width, n, _each_pair(C_axes, pair_map, n))
+        C_axes = C.entries.reshape((k,) * (2 * C.d))       # (alpha1, alpha2) axes
+        return GridFunction(2 * C.d, box_half_width, n, _each_pair(C_axes, pair_map, n))
 
 
 def kernel_map_A_coeff(C: WongCoeffMatrix) -> WongCoeffMatrix:

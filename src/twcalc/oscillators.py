@@ -21,7 +21,7 @@ import numpy as np
 from .errors import TruncationWarning
 from .algebra import WongCoeffMatrix, kernel_map_A_coeff
 from .hermite import oscillator_eigenvalues
-from .phase_space import GridFunction, _on_slabs, _pair_slabs, check_boundary
+from .phase_space import GridFunction, _on_slabs, _pair_slabs, _pool_scope, check_boundary
 
 LADDER_FAMILIES = ("Z1", "Z1_tilde", "Z2", "Z2_tilde")
 
@@ -182,30 +182,32 @@ def apply_h_sigma_grid(a: GridFunction, strict: bool = True, conjugate: bool = F
     Per axis pair (x_j, xi_j): (x_j^2 + xi_j^2) v plus, per axis, a 5-point
     stencil folding -1/4 d^2 with the rotation term, whose factor is
     constant along that axis; added in place slab by slab.  At d = 2 the n
-    slabs of a pair run on one thread per CPU (``phase_space._on_slabs``);
-    each does the same operations in the same order on any thread, so the
-    bits do not depend on the worker count.
+    slabs of a pair run on one thread per CPU (``phase_space._on_slabs``,
+    inside this call's ``phase_space._pool_scope``); each does the same
+    operations in the same order on any thread, so the bits do not depend
+    on the worker count.
     """
-    if a.dims not in (2, 4):
-        raise ValueError("expects a phase-space function")
-    check_boundary(a, strict, threshold=1e-6, what="oscillator input")
-    h, x = a.spacing, a.axis()
-    lap = -0.25 / (h * h)
-    rot = (-1j if conjugate else 1j) * x / h
-    centre = (x * x)[:, None] + x * x + 2 * lap * _CENTRE
-    along_x = [(k, lap * d2 - d1 * rot) for k, d2, d1 in _TAPS]             # -i xi_j d_xj
-    along_xi = [(k, lap * d2 + d1 * rot[:, None]) for k, d2, d1 in _TAPS]   # +i x_j d_xij
+    with _pool_scope(a.dims == 4):
+        if a.dims not in (2, 4):
+            raise ValueError("expects a phase-space function")
+        check_boundary(a, strict, threshold=1e-6, what="oscillator input")
+        h, x = a.spacing, a.axis()
+        lap = -0.25 / (h * h)
+        rot = (-1j if conjugate else 1j) * x / h
+        centre = (x * x)[:, None] + x * x + 2 * lap * _CENTRE
+        along_x = [(k, lap * d2 - d1 * rot) for k, d2, d1 in _TAPS]             # -i xi_j d_xj
+        along_xi = [(k, lap * d2 + d1 * rot[:, None]) for k, d2, d1 in _TAPS]   # +i x_j d_xij
 
-    def stencil(v, acc):
-        tmp = np.multiply(v, centre)
-        acc += tmp
-        _add_taps(acc, v, -2, along_x, tmp)
-        _add_taps(acc, v, -1, along_xi, tmp)
+        def stencil(v, acc):
+            tmp = np.multiply(v, centre)
+            acc += tmp
+            _add_taps(acc, v, -2, along_x, tmp)
+            _add_taps(acc, v, -1, along_xi, tmp)
 
-    out = np.zeros_like(a.values)
-    for j in range(a.dims // 2):
-        _on_slabs(stencil, _pair_slabs(j, a.values, out), blas=False)
-    return GridFunction(a.dims, a.box_half_width, a.points_per_axis, out)
+        out = np.zeros_like(a.values)
+        for j in range(a.dims // 2):
+            _on_slabs(stencil, _pair_slabs(j, a.values, out), blas=False)
+        return GridFunction(a.dims, a.box_half_width, a.points_per_axis, out)
 
 
 def intertwine_residual(C: WongCoeffMatrix, n1: int, n2: int) -> float:

@@ -15,6 +15,14 @@ test suite pins.
 
 All integrals are plain Riemann sums on the box; admissible inputs decay
 below the boundary threshold at |x| = L, so the sums converge spectrally.
+
+At d = 2 each grid transform (wigner, hermite_wong_eval,
+symplectic_fourier, the kernel map and its inverse here, expand and
+synthesize in ``algebra``, apply_h_sigma_grid in ``oscillators``) runs its
+body in one ``_pool_scope``: from entry to return its slabs may run on the
+slab pool and numpy's OpenBLAS runs one thread, so no idle BLAS worker
+spins beside the slab workers.  d = 1 calls never touch the pool or the
+BLAS count.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -190,8 +199,10 @@ def _pair_slabs(j: int, *arrays: np.ndarray):
         yield tuple(m[b] for m in moved)
 
 
-_POOLED = threading.Lock()          # held by the one caller whose slabs run on the pool
+_POOLED = threading.Lock()          # held by the one d = 2 call whose slabs run on the pool
 _executor = None                    # the slab pool, created on first use
+_held = threading.local()           # .gemm on the thread holding _POOLED: may GEMM slabs pool
+_NO_SCOPE = nullcontext()           # the _pool_scope of every d = 1 call
 
 
 def _cpus() -> int:
@@ -245,56 +256,85 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _pool_scope(d2: bool):
+    """Hold the slab pool, and numpy's OpenBLAS at one thread, for one public d = 2 call.
+
+    Each grid transform (see the module docstring) runs its body in this
+    scope, so the hold covers its input checks, every slab, the finiteness
+    check of its output and the GEMMs of nested calls.  It engages only
+    for a d = 2 call on more than one CPU while no other call holds the
+    pool; OpenBLAS is then set to one thread where its thread symbols are
+    found, and its count restored once, on return or raise.  A nested
+    call, a d = 1 call and a second concurrent caller change neither the
+    pool nor the count, so a d = 1 call outside a d = 2 call runs its
+    GEMMs (and gets its bits) at the caller's count, whatever ran before.
+    A d = 1 call gets a shared no-op scope: a generator scope per call
+    costs it several microseconds.
+    """
+    return _held_scope() if d2 else _NO_SCOPE
+
+
+@contextmanager
+def _held_scope():
+    """``_pool_scope`` of a d = 2 call."""
+    if _cpus() < 2 or not _POOLED.acquire(blocking=False):   # a nested call finds it held
+        yield
+        return
+    blas = _openblas()
+    threads = None
+    try:
+        if blas is not None:
+            threads = blas[0]()
+            blas[1](1)
+        _held.gemm = blas is not None
+        yield
+    finally:
+        _held.gemm = None
+        if threads is not None:
+            blas[1](threads)
+        _POOLED.release()
+
+
 def _on_slabs(work, slabs, blas: bool = True):
     """Call ``work(*slab)`` once for every slab, on up to one thread per CPU.
 
-    The calling thread and ``min(CPUs, slabs) - 1`` threads of one shared
-    pool take slabs until none is left; one slab, one CPU, or a pool
-    already held by another caller runs inline.  Each slab does the same
-    arithmetic on any thread, so the result does not depend on the worker
-    count.  With ``blas`` (work that calls GEMM) OpenBLAS is held at one
-    thread while the pool runs, and its count restored after; without
-    OpenBLAS's thread symbols such work runs inline.  ``work`` must write
-    only its own slab and call no public twcalc function.
+    Inside the ``_pool_scope`` held by the calling thread, it and
+    ``min(CPUs, slabs) - 1`` threads of one shared pool take slabs until
+    none is left.  One slab, one CPU, a call outside that scope (a second
+    concurrent caller among them) and ``blas`` work (work that calls GEMM)
+    in a scope that could not hold OpenBLAS at one thread run inline.
+    Each slab does the same arithmetic on any thread, so the result does
+    not depend on the worker count.  ``work`` must write only its own slab
+    and call no public twcalc function.
     """
     slabs = list(slabs)
     workers = min(_cpus(), len(slabs))
-    if workers < 2 or (blas and _openblas() is None) or not _POOLED.acquire(blocking=False):
+    if workers < 2 or getattr(_held, "gemm", None) is None or (blas and not _held.gemm):
         for slab in slabs:
             work(*slab)
         return
-    threads = None
+    pending = slabs[::-1]                       # list.pop is atomic: each slab is taken once
+
+    def drain():
+        while True:
+            try:
+                slab = pending.pop()
+            except IndexError:
+                return
+            try:
+                work(*slab)
+            except BaseException:
+                pending.clear()                 # the others stop after their current slab
+                raise
+
+    futures = [_pool().submit(drain) for _ in range(workers - 1)]
     try:
-        if blas:
-            get, put = _openblas()
-            threads = get()
-            put(1)
-        pending = slabs[::-1]                   # list.pop is atomic: each slab is taken once
-
-        def drain():
-            while True:
-                try:
-                    slab = pending.pop()
-                except IndexError:
-                    return
-                try:
-                    work(*slab)
-                except BaseException:
-                    pending.clear()             # the others stop after their current slab
-                    raise
-
-        futures = [_pool().submit(drain) for _ in range(workers - 1)]
-        try:
-            drain()
-        finally:
-            for fut in futures:
-                fut.exception()                 # waits
-        for fut in futures:
-            fut.result()
+        drain()
     finally:
-        if threads is not None:
-            put(threads)
-        _POOLED.release()
+        for fut in futures:
+            fut.exception()                     # waits
+    for fut in futures:
+        fut.result()
 
 
 def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarray:
@@ -304,13 +344,14 @@ def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarra
     returns the mapped stack [t, i, j], each pair axis now ``size`` points
     long (default: unchanged).  All grid transforms factor this way because
     the symplectic form is a sum over the pairs (x_j, xi_j).  The map runs
-    on each slab and its result is written into the output slab; at d = 2
-    the n slabs of a pair run on one thread per CPU (``_on_slabs``), with
-    the same bits as one at a time.  A map that keeps the size transforms
-    later pairs in place, so at d = 2 it holds O(n^3) per worker beside the
-    n^4 input and output; one that shrinks the pairs (expand) never holds
-    an n^4 array, and one that grows them (synthesize) runs its first pair
-    on the few matrices of its small input.  Pair maps contract a whole
+    on each slab and its result is written into the output slab; at d = 2,
+    inside the caller's ``_pool_scope``, the n slabs of a pair run on one
+    thread per CPU (``_on_slabs``), with the same bits as one at a time.
+    A map that keeps the size transforms later pairs in place, so at d = 2
+    it holds O(n^3) per worker beside the n^4 input and output; one that
+    shrinks the pairs (expand) never holds an n^4 array, and one that grows
+    them (synthesize) runs its first pair on the few matrices of its small
+    input.  Pair maps contract a whole
     slab per GEMM (see ``_batch_middle``), and must write nothing shared.
     """
     def work(src, dst):
@@ -346,26 +387,27 @@ def wigner(f: GridFunction, g: GridFunction, strict: bool = True) -> GridFunctio
     arguments x - y/2 and x + y/2 of F land exactly on sample points, and
     the oscillatory sum is one dense DFT-style matrix product.
     """
-    require_same_grid(f, g)
-    if f.dims not in (1, 2):
-        raise ValueError("wigner supports d in {1, 2}")
-    check_boundary(f, strict, what="wigner input f")
-    check_boundary(g, strict, what="wigner input g")
-    n = f.points_per_axis
-    E = _dft_kernel(f.box_half_width, n)
-    const = (2.0 * np.pi) ** -0.5 * (2.0 * f.spacing)
-    idx, pc, off = _wigner_plan(n)
+    with _pool_scope(f.dims == 2):
+        require_same_grid(f, g)
+        if f.dims not in (1, 2):
+            raise ValueError("wigner supports d in {1, 2}")
+        check_boundary(f, strict, what="wigner input f")
+        check_boundary(g, strict, what="wigner input g")
+        n = f.points_per_axis
+        E = _dft_kernel(f.box_half_width, n)
+        const = (2.0 * np.pi) ** -0.5 * (2.0 * f.spacing)
+        idx, pc, off = _wigner_plan(n)
 
-    def pair_map(F):                                         # [t, u, v] -> [t, x, xi]
-        corr = F[:, idx, pc]                                 # F(x_m, x_{2i-m}) at [t, i, m]
-        corr[:, off] = 0.0
-        W = (corr.reshape(-1, n) @ E).reshape(corr.shape)
-        W *= const
-        W *= np.conj(E)
-        return W
+        def pair_map(F):                                     # [t, u, v] -> [t, x, xi]
+            corr = F[:, idx, pc]                             # F(x_m, x_{2i-m}) at [t, i, m]
+            corr[:, off] = 0.0
+            W = (corr.reshape(-1, n) @ E).reshape(corr.shape)
+            W *= const
+            W *= np.conj(E)
+            return W
 
-    F = np.multiply.outer(f.values, np.conj(g.values))
-    return GridFunction(2 * f.dims, f.box_half_width, n, _each_pair(F, pair_map))
+        F = np.multiply.outer(f.values, np.conj(g.values))
+        return GridFunction(2 * f.dims, f.box_half_width, n, _each_pair(F, pair_map))
 
 
 def hermite_wong_eval(pair, box_half_width: float, points_per_axis: int) -> GridFunction:
@@ -379,16 +421,17 @@ def hermite_wong_eval(pair, box_half_width: float, points_per_axis: int) -> Grid
     a1, a2 = normalize_pair(pair)
     if len(a1) > 2 or max(max(a1), max(a2)) > MAX_WONG_INDEX:
         raise ValueError(f"d in {{1, 2}} and indices up to {MAX_WONG_INDEX} are supported, got {pair!r}")
-    axis = np.linspace(-box_half_width, box_half_width, points_per_axis)
-    hs = hermite_batch(max(max(a1), max(a2)), axis)
-    parts = []
-    for k1, k2 in zip(a1, a2):
-        f = GridFunction(1, box_half_width, points_per_axis, hs[k1] + 0j)
-        g = GridFunction(1, box_half_width, points_per_axis, hs[k2] + 0j)
-        parts.append(wigner(f, g, strict=False).values * (-1) ** k1)
-    # at d = 2 the axes (x_1, xi_1) and (x_2, xi_2) interleave to (x_1, x_2, xi_1, xi_2)
-    vals = parts[0] if len(parts) == 1 else parts[0][:, None, :, None] * parts[1][None, :, None, :]
-    return GridFunction(2 * len(a1), box_half_width, points_per_axis, vals)
+    with _pool_scope(len(a1) == 2):                         # the 1-D wigners' GEMMs too
+        axis = np.linspace(-box_half_width, box_half_width, points_per_axis)
+        hs = hermite_batch(max(max(a1), max(a2)), axis)
+        parts = []
+        for k1, k2 in zip(a1, a2):
+            f = GridFunction(1, box_half_width, points_per_axis, hs[k1] + 0j)
+            g = GridFunction(1, box_half_width, points_per_axis, hs[k2] + 0j)
+            parts.append(wigner(f, g, strict=False).values * (-1) ** k1)
+        # at d = 2 the axes (x_1, xi_1) and (x_2, xi_2) interleave to (x_1, x_2, xi_1, xi_2)
+        vals = parts[0] if len(parts) == 1 else parts[0][:, None, :, None] * parts[1][None, :, None, :]
+        return GridFunction(2 * len(a1), box_half_width, points_per_axis, vals)
 
 
 def normalize_pair(pair):
@@ -409,21 +452,22 @@ def symplectic_fourier(a: GridFunction, strict: bool = True) -> GridFunction:
     aligned on the inclusive-endpoint box, so the kernel is applied as two
     matrix products per axis pair.
     """
-    if a.dims not in (2, 4):
-        raise ValueError("symplectic_fourier expects a phase-space function (dims 2 or 4)")
-    check_boundary(a, strict, what="symplectic_fourier input")
-    dx = a.spacing
-    E = _dft_kernel(a.box_half_width, a.points_per_axis)
-    Ec = np.conj(E)
+    with _pool_scope(a.dims == 4):
+        if a.dims not in (2, 4):
+            raise ValueError("symplectic_fourier expects a phase-space function (dims 2 or 4)")
+        check_boundary(a, strict, what="symplectic_fourier input")
+        dx = a.spacing
+        E = _dft_kernel(a.box_half_width, a.points_per_axis)
+        Ec = np.conj(E)
 
-    def pair_map(b):                                         # [t, y, eta] -> [t, x, xi]
-        t, p, q = b.shape
-        Z = _batch_middle(b).reshape(-1, q) @ E              # eta -> x at [y, t, x]
-        out = (Ec @ Z.reshape(p, -1)).reshape(p, t, q)       # y -> xi at [xi, t, x]
-        out *= dx * dx / np.pi
-        return out.transpose(1, 2, 0)
+        def pair_map(b):                                     # [t, y, eta] -> [t, x, xi]
+            t, p, q = b.shape
+            Z = _batch_middle(b).reshape(-1, q) @ E          # eta -> x at [y, t, x]
+            out = (Ec @ Z.reshape(p, -1)).reshape(p, t, q)   # y -> xi at [xi, t, x]
+            out *= dx * dx / np.pi
+            return out.transpose(1, 2, 0)
 
-    return GridFunction(a.dims, a.box_half_width, a.points_per_axis, _each_pair(a.values, pair_map))
+        return GridFunction(a.dims, a.box_half_width, a.points_per_axis, _each_pair(a.values, pair_map))
 
 
 def _kernel_pair_map(a: GridFunction, strict: bool, stacks):
@@ -457,7 +501,11 @@ def _kernel_pair_map(a: GridFunction, strict: bool, stacks):
         Q = np.empty((2 * n, t, n), dtype=complex)
         np.matmul(b.reshape(-1, n), P_even, out=Q[:n].reshape(-1, n))
         T_odd = (S_odd @ b.reshape(n, -1)).reshape(-1, n)
+        # freed before the gather, whose n^3 result can then take their memory:
+        # else a fresh heap maps and faults a new block per slab
+        del b
         np.matmul(T_odd, P_odd, out=Q[n:2 * n - 1].reshape(-1, n))
+        del T_odd
         return Q.reshape(-1)[flat_at[t]]
 
     return pair_map
@@ -474,9 +522,10 @@ def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:
     costs about 3n^3 complex multiply-adds per matrix, 6n^5 for all of d = 2
     (see ``_kernel_pair_map``); even and odd n are both served.
     """
-    stacks = (a.points_per_axis ** (a.dims // 2 - 1),)       # 1 at d = 1, n at d = 2
-    return GridFunction(a.dims, a.box_half_width, a.points_per_axis,
-                        _each_pair(a.values, _kernel_pair_map(a, strict, stacks)))
+    with _pool_scope(a.dims == 4):
+        stacks = (a.points_per_axis ** (a.dims // 2 - 1),)   # 1 at d = 1, n at d = 2
+        return GridFunction(a.dims, a.box_half_width, a.points_per_axis,
+                            _each_pair(a.values, _kernel_pair_map(a, strict, stacks)))
 
 
 def _inverse_pair_map(box_half_width: float, n: int):
@@ -505,7 +554,8 @@ def inverse_kernel_map_grid(K: GridFunction) -> GridFunction:
     w = x_m makes both kernel arguments exact sample points when the point
     count is odd; even grids are refused rather than silently interpolated.
     """
-    if K.dims not in (2, 4):
-        raise ValueError("inverse_kernel_map_grid expects dims 2 or 4")
-    pair_map = _inverse_pair_map(K.box_half_width, K.points_per_axis)
-    return GridFunction(K.dims, K.box_half_width, K.points_per_axis, _each_pair(K.values, pair_map))
+    with _pool_scope(K.dims == 4):
+        if K.dims not in (2, 4):
+            raise ValueError("inverse_kernel_map_grid expects dims 2 or 4")
+        pair_map = _inverse_pair_map(K.box_half_width, K.points_per_axis)
+        return GridFunction(K.dims, K.box_half_width, K.points_per_axis, _each_pair(K.values, pair_map))

@@ -520,12 +520,84 @@ def test_blas_threads_held_at_one_in_the_pool_and_restored(workers, blas_threads
         seen.append(get())
         return b * 2.0
 
-    ps._each_pair(vals, pair_map)
+    with ps._pool_scope(True):        # as every public d = 2 call runs its body
+        ps._each_pair(vals, pair_map)
     assert seen and set(seen) == {1}
     assert get() == 3
     for name, run in _d2_transforms(17).items():
         run()
         assert get() == 3, name
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_one_blas_thread_inside_every_d2_call(monkeypatch, workers, blas_threads):
+    # the finiteness check of each n^4 output, and expand's norm, run inside the call at one thread
+    get = blas_threads
+    workers(2)
+    n = 17
+    transforms = _d2_transforms(n)
+    transforms["hermite_wong_eval"] = lambda: tw.hermite_wong_eval(((1, 2), (0, 3)), 5.5, n).values
+    seen = []
+    post_init, norm = ps.GridFunction.__post_init__, ps.GridFunction.norm
+
+    def recorded_post_init(self):
+        if np.size(self.values) == n ** 4:
+            seen.append(get())
+        post_init(self)
+
+    def recorded_norm(self):
+        seen.append(get())
+        return norm(self)
+
+    monkeypatch.setattr(ps.GridFunction, "__post_init__", recorded_post_init)
+    monkeypatch.setattr(ps.GridFunction, "norm", recorded_norm)
+    for name, run in transforms.items():
+        del seen[:]
+        run()
+        assert seen and set(seen) == {1}, (name, seen)
+        assert get() == 3, name
+
+
+@pytest.fixture
+def blas_puts(monkeypatch, blas_threads):
+    """The counts numpy's OpenBLAS thread setter is called with from then on, in order."""
+    get, put = ps._openblas()
+    puts = []
+
+    def recorded(count):
+        puts.append(count)
+        put(count)
+
+    monkeypatch.setattr(ps, "_openblas", lambda: (get, recorded))
+    return puts
+
+
+def test_blas_threads_restored_after_a_d2_call_raises(workers, blas_puts):
+    workers(2)
+    n = 17
+    edge = np.zeros((n,) * 4, dtype=complex)
+    edge[n // 2, n // 2, n // 2, n // 2] = 1.0
+    edge[0, n // 2, n // 2, n // 2] = 1e-3               # boundary mass: the strict check raises
+    with pytest.raises(TruncationError):
+        tw.kernel_map_A_grid(tw.GridFunction(4, 5.5, n, edge), strict=True)
+    assert blas_puts == [1, 3]
+    assert ps._openblas()[0]() == 3
+    assert not ps._POOLED.locked()
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_nested_calls_hold_blas_once(workers, blas_puts):
+    workers(2)
+    tw.hermite_wong_eval(((1, 2), (0, 3)), 5.5, 17)      # its 1-D wigners run inside its hold
+    assert blas_puts == [1, 3]
+    transforms = _d2_transforms(17)
+    del blas_puts[:]
+    with ps._pool_scope(True):
+        for run in transforms.values():
+            run()
+        assert blas_puts == [1]
+    assert blas_puts == [1, 3]
+    assert not ps._POOLED.locked()
 
 
 def test_blas_threads_restored_after_a_pair_map_raises(workers, blas_threads):
@@ -538,7 +610,7 @@ def test_blas_threads_restored_after_a_pair_map_raises(workers, blas_threads):
             raise RuntimeError("slab failed")
         return b
 
-    with pytest.raises(RuntimeError, match="slab failed"):
+    with pytest.raises(RuntimeError, match="slab failed"), ps._pool_scope(True):
         ps._each_pair(np.ones((17,) * 4, dtype=complex), pair_map)
     assert blas_threads() == 3
     assert not ps._POOLED.locked()
@@ -574,7 +646,8 @@ def test_every_slab_runs_once_under_contention(workers):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            ps._on_slabs(work, [(i,) for i in range(counts.size)], blas=False)
+            with ps._pool_scope(True):
+                ps._on_slabs(work, [(i,) for i in range(counts.size)], blas=False)
     finally:
         sys.setswitchinterval(interval)
     assert (counts == 20).all()
@@ -582,13 +655,15 @@ def test_every_slab_runs_once_under_contention(workers):
 
 
 def _double_in_pool():
-    out = ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: 2.0 * b)
+    with ps._pool_scope(True):
+        out = ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: 2.0 * b)
     os._exit(0 if (out == 4.0).all() else 1)
 
 
 def test_a_forked_child_starts_its_own_pool(workers):
     workers(2)
-    ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: b)
+    with ps._pool_scope(True):
+        ps._each_pair(np.ones((17,) * 4, dtype=complex), lambda b: b)
     assert ps._executor is not None
     child = multiprocessing.get_context("fork").Process(target=_double_in_pool)
     child.start()
@@ -602,6 +677,8 @@ def test_a_forked_child_starts_its_own_pool(workers):
 def test_d1_never_starts_the_pool(monkeypatch, workers, wong_cache):
     workers(2)
     monkeypatch.setattr(ps, "_pool", lambda: pytest.fail("pool started at d = 1"))
+    puts = []                         # d = 1 GEMMs run at the caller's BLAS count
+    monkeypatch.setattr(ps, "_openblas", lambda: (lambda: 3, puts.append))
     W = wong_cache(((1,), (2,)), 8.0, 129)
     tw.wigner(hermite_grid(1, n=129), hermite_grid(2, n=129))
     tw.symplectic_fourier(W)
@@ -611,6 +688,7 @@ def test_d1_never_starts_the_pool(monkeypatch, workers, wong_cache):
     tw.synthesize(C, 8.0, 129)
     tw.apply_h_sigma_grid(W)
     assert ps._executor is None
+    assert puts == []
 
 
 def test_import_leaves_the_pool_module_unloaded():
