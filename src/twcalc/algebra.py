@@ -22,7 +22,9 @@ from .phase_space import (
     _each_pair,
     _inverse_pair_map,
     _kernel_pair_map,
+    _kernel_pair_table,
     _pool_scope,
+    _tabulated,
     check_boundary,
     normalize_pair,
     require_same_grid,
@@ -80,26 +82,36 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
     Hermite tensor basis on the kernel side, which avoids materializing the
     full rho stack.  Pair by pair: the kernel map's pair map, then
     H K H^T with H[a, x] = h_a(x) dx, which shrinks the pair to the index
-    box.  At d = 2 the first pair costs about 3n^5 complex multiply-adds on
-    n^2 matrices and the second runs on only (n_max + 1)^2 of them; the n^4
-    kernel is never built.  Errors out when more than ``tail_threshold`` of
-    the squared mass lies outside the index box.
+    box, about 3n^3 complex multiply-adds per matrix.  At d = 2 the first
+    pair maps n^2 matrices: when its table is cheaper (``_tabulated``:
+    k^2 = (n_max + 1)^2 well below n) it is contracted with the map's
+    (n^2, k^2) table, O(k^2 n^3) to build from the map's transpose and
+    O(k^2 n^4) to apply, instead of 3n^5; the second pair runs the map on
+    only k^2 matrices, as does d = 1 on its one matrix.  The n^4 kernel
+    is never built.  Errors out when more than ``tail_threshold`` of the
+    squared mass lies outside the index box.
     """
     d = a.dims // 2
     k = n_max + 1
+    n = a.points_per_axis
     with _pool_scope(d == 2):
-        # the slabs of the first pair stack n matrices at d = 2, those of the second k
-        kernel = _kernel_pair_map(a, strict, (1,) if d == 1 else (a.points_per_axis, k))
+        # the slabs of the first pair stack n matrices at d = 2 (if it keeps the map), those of the second k
+        kernel = _kernel_pair_map(a, strict, (1,) if d == 1 else (n, k))
         H = hermite_batch(n_max, a.axis()) * a.spacing     # one quadrature weight per contracted axis
 
         def pair_map(b):                                   # [t, x, xi] -> [t, a1, a2]
             K = kernel(b)
-            t, n, _ = K.shape
+            t = K.shape[0]
             KH = (K.reshape(-1, n) @ H.T).reshape(t, n, k)               # [t, x, a2]
             return (KH.transpose(0, 2, 1).reshape(-1, n) @ H.T).reshape(t, k, k).transpose(0, 2, 1)
 
+        def table(matrices):
+            if _tabulated(matrices, k, n, 3 * n ** 3 + n * n * k + n * k * k):
+                return _kernel_pair_table(a.box_half_width, n, H)
+            return None
+
         side = k ** d
-        out = WongCoeffMatrix(d, n_max, _each_pair(a.values, pair_map, k).reshape(side, side))
+        out = WongCoeffMatrix(d, n_max, _each_pair(a.values, pair_map, k, table).reshape(side, side))
         total = a.norm() ** 2
         if total > 0:
             tail = max(0.0, total - out.norm() ** 2) / total
@@ -110,6 +122,26 @@ def expand(a: GridFunction, n_max: int, strict: bool = True,
         return out
 
 
+def _synthesize_pair_map(box_half_width: float, n: int, n_max: int):
+    """The pair map [t, a1, a2] -> [t, x, xi] of ``synthesize`` on n points.
+
+    The kernel H^T c H on the odd work grid, the inverse kernel map's pair
+    map there, then every second node when n is even.
+    """
+    work_n, step = (n, 1) if n % 2 == 1 else (2 * n - 1, 2)
+    H = hermite_batch(n_max, np.linspace(-box_half_width, box_half_width, work_n))
+    inverse = _inverse_pair_map(box_half_width, work_n)
+    k = n_max + 1
+
+    def pair_map(c):
+        t = c.shape[0]
+        cH = (c.reshape(-1, k) @ H).reshape(t, k, work_n)                # [t, a1, y]
+        K = (cH.transpose(0, 2, 1).reshape(-1, k) @ H).reshape(t, work_n, work_n)
+        return inverse(K.transpose(0, 2, 1))[:, ::step, ::step]
+
+    return pair_map
+
+
 def synthesize(C: WongCoeffMatrix, box_half_width: float, points_per_axis: int) -> GridFunction:
     """Pointwise sum of c_{a1,a2} rho_{a1,a2} on the phase-space grid.
 
@@ -117,25 +149,28 @@ def synthesize(C: WongCoeffMatrix, box_half_width: float, points_per_axis: int) 
     then the inverse kernel map's pair map, which is exact there.  An even
     point count n is served without interpolation: the pair runs on the
     odd refinement 2n - 1 and keeps every second node, right after its map,
-    so d = 2 never holds the (2n - 1)^4 grid.  At d = 2 the first pair runs
-    on (n_max + 1)^2 matrices and the second on n^2, about n^5 complex
-    multiply-adds in all.
+    so d = 2 never holds the (2n - 1)^4 grid.  The map costs about n^3
+    complex multiply-adds per matrix (on the work grid).  At d = 2 the
+    first pair maps only (n_max + 1)^2 = k^2 matrices, as d = 1 maps its
+    one; the second maps n^2, and when its table is cheaper
+    (``_tabulated``: k^2 well below n) the k^2 unit matrices are mapped
+    once into the (k^2, n^2) table, and each matrix is contracted with it
+    straight into the output, O(k^2 n^4) in all instead of n^5, holding
+    O(k^2 n^2) beside the output.
     """
     n = points_per_axis
-    work_n, step = (n, 1) if n % 2 == 1 else (2 * n - 1, 2)
+    work_n = n if n % 2 else 2 * n - 1
+    k = C.n_max + 1
     with _pool_scope(C.d == 2):
-        H = hermite_batch(C.n_max, np.linspace(-box_half_width, box_half_width, work_n))
-        inverse = _inverse_pair_map(box_half_width, work_n)
-        k = C.n_max + 1
+        pair_map = _synthesize_pair_map(box_half_width, n, C.n_max)
 
-        def pair_map(c):                                   # [t, a1, a2] -> [t, x, xi]
-            t = c.shape[0]
-            cH = (c.reshape(-1, k) @ H).reshape(t, k, work_n)            # [t, a1, y]
-            K = (cH.transpose(0, 2, 1).reshape(-1, k) @ H).reshape(t, work_n, work_n)
-            return inverse(K.transpose(0, 2, 1))[:, ::step, ::step]
+        def table(matrices):
+            if _tabulated(matrices, k, n, work_n ** 3 + work_n ** 2 * k + work_n * k * k):
+                return pair_map(np.eye(k * k, dtype=complex).reshape(k * k, k, k)).reshape(k, k, n, n)
+            return None
 
         C_axes = C.entries.reshape((k,) * (2 * C.d))       # (alpha1, alpha2) axes
-        return GridFunction(2 * C.d, box_half_width, n, _each_pair(C_axes, pair_map, n))
+        return GridFunction(2 * C.d, box_half_width, n, _each_pair(C_axes, pair_map, n, table))
 
 
 def kernel_map_A_coeff(C: WongCoeffMatrix) -> WongCoeffMatrix:

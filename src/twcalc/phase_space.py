@@ -337,7 +337,7 @@ def _on_slabs(work, slabs, blas: bool = True):
         fut.result()
 
 
-def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarray:
+def _each_pair(vals: np.ndarray, pair_map, size: int | None = None, table=None) -> np.ndarray:
     """Apply a one-pair map along every axis pair (j, d + j) of a 2d-axis array.
 
     ``pair_map`` takes a stack [t, p, q] of t matrices over the pair and
@@ -348,11 +348,16 @@ def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarra
     inside the caller's ``_pool_scope``, the n slabs of a pair run on one
     thread per CPU (``_on_slabs``), with the same bits as one at a time.
     A map that keeps the size transforms later pairs in place, so at d = 2
-    it holds O(n^3) per worker beside the n^4 input and output; one that
-    shrinks the pairs (expand) never holds an n^4 array, and one that grows
-    them (synthesize) runs its first pair on the few matrices of its small
-    input.  Pair maps contract a whole
-    slab per GEMM (see ``_batch_middle``), and must write nothing shared.
+    it holds O(n^3) per worker beside the n^4 input and output.  Pair maps
+    contract a whole slab per GEMM (see ``_batch_middle``), and must write
+    nothing shared.
+
+    A map that shrinks or grows the pairs (expand, synthesize) is linear
+    between k x k and n x n matrices.  ``table(m)``, called once per pair
+    with the pair's matrix count m, returns None to keep ``pair_map`` there,
+    or the map's table T[p, q, i, j], out[i, j] = sum T[p, q, i, j] in[p, q],
+    which ``_by_table`` contracts every slab with instead (see
+    ``_tabulated`` for when that is cheaper).
     """
     def work(src, dst):
         dst[...] = pair_map(src)
@@ -360,12 +365,48 @@ def _each_pair(vals: np.ndarray, pair_map, size: int | None = None) -> np.ndarra
     d = vals.ndim // 2
     for j in range(d):
         shape = list(vals.shape)
+        matrices = vals.size // (shape[j] * shape[d + j])
         if size is not None:
             shape[j] = shape[d + j] = size
         out = vals if j and vals.shape == tuple(shape) else np.empty(shape, dtype=complex)
-        _on_slabs(work, _pair_slabs(j, vals, out))
+        T = None if table is None else table(matrices)
+        _on_slabs(work if T is None else _by_table(T), _pair_slabs(j, vals, out))
         vals = out
     return vals
+
+
+def _tabulated(matrices: int, k: int, n: int, direct: int) -> bool:
+    """Whether a linear pair map between k x k and n x n matrices is cheaper as its table.
+
+    ``direct`` is the map's multiply-adds per matrix.  Its (k^2, n^2) table
+    takes about k^2 maps to build and k^2 n^2 multiply-adds per matrix to
+    apply, so the table pays only on many matrices with k^2 well below n
+    (the n^2 matrices of one pair at d = 2); one matrix (every d = 1 call)
+    or a large index box keeps the map.
+    """
+    return k * k * (direct + matrices * n * n) < matrices * direct
+
+
+def _by_table(T: np.ndarray):
+    """Slab work mapping a stack [t, p, q] to [t, i, j] through a pair map's table T[p, q, i, j].
+
+    A shrinking table runs a GEMM per input row p, on the strided input
+    slab as it lies, and sums the k^2 n-sized products over p; a growing
+    one runs a GEMM per output row i straight into the output slab.
+    Either way a slab holds O(k^2 n^2) beside its views.
+    """
+    p, q, i, j = T.shape
+    if i * j <= p * q:
+        Tp = np.ascontiguousarray(T.reshape(p, q, i * j).transpose(0, 2, 1))      # [p, ij, q]
+
+        def work(src, dst):
+            dst[...] = np.matmul(Tp, src.transpose(1, 2, 0)).sum(axis=0).T.reshape(dst.shape)
+    else:
+        Ti = np.ascontiguousarray(T.reshape(p * q, i, j).transpose(1, 0, 2))      # [i, pq, j]
+
+        def work(src, dst):
+            np.matmul(src.reshape(len(src), p * q), Ti, out=dst.transpose(1, 0, 2))
+    return work
 
 
 def _batch_middle(b: np.ndarray) -> np.ndarray:
@@ -473,7 +514,7 @@ def symplectic_fourier(a: GridFunction, strict: bool = True) -> GridFunction:
 def _kernel_pair_map(a: GridFunction, strict: bool, stacks):
     """The pair map [t, x, xi] -> [t, x, y] of ``kernel_map_A_grid``, after its checks.
 
-    ``stacks`` holds the stack sizes t of the slabs it will be given.
+    ``stacks`` holds the stack sizes t of the slabs it may be given.
 
     K(x, y) = (2pi)^{-1/2} dx sum_k a((y-x)/2, xi_k) e^{-i (x+y) xi_k}.
     The first argument of a is interpolated onto the half-step grid
@@ -509,6 +550,23 @@ def _kernel_pair_map(a: GridFunction, strict: bool, stacks):
         return Q.reshape(-1)[flat_at[t]]
 
     return pair_map
+
+
+def _kernel_pair_table(L: float, n: int, H: np.ndarray) -> np.ndarray:
+    """The table T[x, xi, a1, a2] of b -> H K H^T, K the kernel pair map of b on the (L, n) grid.
+
+    The map's transpose, in O(k^2 n^3) for H of shape (k, n):
+    sum_ij H[a1, i] H[a2, j] K[i, j] is sum_Rc G[R, c] Q[R, c], with G the
+    products H[a1, i] H[a2, j] scattered to the places (at_R, at_c) of Q
+    that K reads (one (i, j) per place), so with Q = [b P_even; S_odd b P_odd]
+    T = G_even P_even^T + S_odd^T G_odd P_odd^T.
+    """
+    S_odd, P_even, P_odd, at_R, at_c = _kernel_plan(L, n)
+    k = len(H)
+    G = np.zeros((k, k, 2 * n, n))
+    G[:, :, at_R, at_c] = H[:, None, :, None] * H[None, :, None, :]
+    T = G[:, :, :n] @ P_even.T + S_odd.T @ G[:, :, n:2 * n - 1] @ P_odd.T     # [a1, a2, x, xi]
+    return T.transpose(2, 3, 0, 1)
 
 
 def kernel_map_A_grid(a: GridFunction, strict: bool = True) -> GridFunction:

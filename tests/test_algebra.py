@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import twcalc as tw
 import twcalc.algebra as alg
+import twcalc.phase_space as ps
 from twcalc.algebra import _next_fast_len
 from twcalc.errors import TruncationError
 
@@ -109,42 +110,101 @@ def _along_every_axis(vals, M):
 
 # pair-by-pair expand/synthesize against the whole-kernel route, relative to
 # the peak modulus; measured worst case 9e-16 at d = 1 (n = 72, 73, 128, 129)
-# and d = 2 (n = 24, 25, 33, 48, 49)
+# and d = 2 (n = 24, 25, 33, 48, 49), on either route of each pair
 ROUTE_TOL = 1e-13
 
 
 @pytest.mark.filterwarnings("ignore:.*boundary mass.*")
-@pytest.mark.parametrize("d,box,n", [(1, L, 73), (1, L, 72), (2, 5.5, 25), (2, 5.5, 24)])
-def test_expand_and_synthesize_match_the_whole_kernel_route(d, box, n):
+@pytest.mark.parametrize("d,box,n,n_max,tabled", [
+    # (synthesize, expand) contract a pair with its table: never on one matrix (d = 1)
+    pytest.param(1, L, 73, 6, (False, False), id="1-8.0-73"),
+    pytest.param(1, L, 72, 6, (False, False), id="1-8.0-72"),
+    pytest.param(2, 5.5, 25, 2, (True, True), id="2-5.5-25"),
+    pytest.param(2, 5.5, 24, 2, (True, True), id="2-5.5-24"),
+    pytest.param(2, 5.5, 49, 2, (True, True), id="2-5.5-49"),
+    pytest.param(2, 5.5, 48, 2, (True, True), id="2-5.5-48"),
+    pytest.param(2, 5.5, 25, 5, (False, True), id="2-5.5-25-n_max5"),   # k^2 > n
+    pytest.param(2, 5.5, 17, 7, (False, False), id="2-5.5-17-n_max7"),  # k^2 > 3n
+])
+def test_expand_and_synthesize_match_the_whole_kernel_route(d, box, n, n_max, tabled, monkeypatch):
+    by_table, tables = ps._by_table, []
+    monkeypatch.setattr(ps, "_by_table", lambda T: tables.append(T.shape) or by_table(T))
     rng = np.random.default_rng(n)
-    n_max = 6 if d == 1 else 2
     side = (n_max + 1) ** d
     C = tw.WongCoeffMatrix(d, n_max, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
     # synthesize: the n^{2d} kernel H^T C H on the odd work grid, one inverse kernel map, decimation
     work = n if n % 2 else 2 * n - 1
-    K = _along_every_axis(C.entries.reshape((n_max + 1,) * (2 * d)),
-                          tw.hermite_batch(n_max, np.linspace(-box, box, work)).T)
-    step = (slice(None, None, (work - 1) // (n - 1)),) * (2 * d)
-    want = tw.inverse_kernel_map_grid(tw.GridFunction(2 * d, box, work, K)).values[step]
+    if work ** (2 * d) > 2 ** 25:
+        # that kernel would take 1.3 GB on the 95-point work grid of n = 48: there the
+        # reference is the pair maps alone, which n = 24 checks against the whole kernel
+        with monkeypatch.context() as m:
+            m.setattr(alg, "_tabulated", lambda *args: False)
+            want = alg.synthesize(C, box, n).values
+    else:
+        K = _along_every_axis(C.entries.reshape((n_max + 1,) * (2 * d)),
+                              tw.hermite_batch(n_max, np.linspace(-box, box, work)).T)
+        step = (slice(None, None, (work - 1) // (n - 1)),) * (2 * d)
+        want = tw.inverse_kernel_map_grid(tw.GridFunction(2 * d, box, work, K)).values[step]
+        del K
     a = tw.synthesize(C, box, n)
     assert np.max(np.abs(a.values - want)) <= ROUTE_TOL * np.max(np.abs(want))
+    assert bool(tables) == tabled[0]
+    del tables[:]
     # expand: the whole kernel, then the Hermite functions along every axis
     K = tw.kernel_map_A_grid(a, strict=False)
     want = _along_every_axis(K.values, tw.hermite_batch(n_max, K.axis())).reshape(side, side)
     want *= K.spacing ** (2 * d)
+    del K
     got = tw.expand(a, n_max, strict=False, tail_threshold=1.0).entries
     assert np.max(np.abs(got - want)) <= ROUTE_TOL * np.max(np.abs(want))
+    assert bool(tables) == tabled[1]
 
 
 @pytest.mark.filterwarnings("ignore:.*boundary mass.*")
 def test_d2_synthesize_even_grid_decimates_each_pair_exactly():
     # keeping every second node right after each pair gives the bits of mapping
-    # the whole odd refinement and decimating once
+    # the whole odd refinement and decimating once.  The second pair is contracted
+    # with a table of the pair map on the k^2 unit matrices: that map, and so the
+    # table, decimates bit for bit.  BLAS may round each 9-term sum of the
+    # contraction differently on the two grids' shapes (OpenBLAS's zgemm does, by
+    # output column), so the outputs agree to a few rounding errors of those sums;
+    # the next test keeps whole-output bit equality where the pair map runs.
     rng = np.random.default_rng(24)
     C = tw.WongCoeffMatrix(2, 2, rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
     n = 24
     fine = tw.synthesize(C, 5.5, 2 * n - 1).values[::2, ::2, ::2, ::2]
+    got = tw.synthesize(C, 5.5, n).values
+    stacks = np.concatenate([np.eye(9).reshape(9, 3, 3), C.entries.reshape(-1, 3, 3)])
+    np.testing.assert_array_equal(alg._synthesize_pair_map(5.5, n, 2)(stacks),
+                                  alg._synthesize_pair_map(5.5, 2 * n - 1, 2)(stacks)[:, ::2, ::2])
+    assert np.max(np.abs(got - fine)) <= 4 * 9 * np.finfo(float).eps * np.max(np.abs(fine))
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_d2_synthesize_even_grid_keeps_the_bits_on_the_pair_map_route():
+    # at n_max = 11 (k^2 = 144 > n) both grids run the pair map on every pair
+    rng = np.random.default_rng(16)
+    C = tw.WongCoeffMatrix(2, 11, rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144)))
+    n = 16
+    fine = tw.synthesize(C, 5.5, 2 * n - 1).values[::2, ::2, ::2, ::2]
     np.testing.assert_array_equal(tw.synthesize(C, 5.5, n).values, fine)
+
+
+@pytest.mark.filterwarnings("ignore:.*boundary mass.*")
+def test_d2_synthesize_holds_no_n3_temporaries():
+    # the second pair maps the k^2 unit matrices into a (k^2, n^2) table and
+    # contracts every slab with it straight into the output: beside the n^4
+    # output only O(k^2 n^2) is held, where each slab of the pair map held n^3
+    n, k = 49, 3
+    C = tw.unit_entry(2, k - 1, ((1, 0), (0, 2)))
+    tw.synthesize(C, 5.5, n)                   # fills the grid's cached plans
+    tracemalloc.start()
+    try:
+        tw.synthesize(C, 5.5, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - n ** 4 * 16 < 8 * k * k * n * n * 16
 
 
 @pytest.mark.filterwarnings("ignore:.*boundary mass.*")
